@@ -154,18 +154,25 @@ StatusOr<std::vector<ResultTable>> ClusterCoordinator::ExecuteBatch(
     subs.push_back(std::move(sub));
   }
 
+  // Each group's calls nest under a "scatter:<view>" span, all started
+  // here in view order before any task runs, so the trace tree's shape
+  // does not depend on which group the scheduler runs first.
+  std::vector<Span*> spans;
+  for (const std::string& view : views) {
+    spans.push_back(ctx.StartSpan("scatter:" + view));
+  }
   std::vector<GroupResult> outcomes(views.size());
+  auto call = [&](size_t g) {
+    ScopedSpan owned(spans[g]);
+    outcomes[g] = CallGroup(ctx.WithSpan(spans[g]), views[g], subs[g], wire);
+  };
   if (views.size() == 1) {
-    outcomes[0] = CallGroup(ctx, views[0], subs[0], wire);
+    call(0);
   } else {
     TaskGroup group(&Scheduler::Global(), options.priority, ctx,
                     options.max_parallel_queries, options.session_id);
     for (size_t g = 0; g < views.size(); ++g) {
-      group.Spawn(
-          [this, &ctx, &views, &subs, &outcomes, &wire, g]() {
-            outcomes[g] = CallGroup(ctx, views[g], subs[g], wire);
-          },
-          "scatter@" + views[g]);
+      group.Spawn([&call, g] { call(g); }, "scatter@" + views[g]);
     }
     group.Wait();
   }

@@ -1,6 +1,15 @@
-// Little-endian binary writer/reader shared by cache persistence and the
-// distributed cache tier. (The storage layer's single-file format keeps its
-// own encoder for format-stability reasons.)
+// The one little-endian binary codec: RPC envelopes and cluster batch
+// payloads, ResultTable bytes, cache persistence, the distributed cache
+// tier and TDE extract files all encode and decode through it. Strings
+// are u32 length-prefixed; ints and doubles are raw 8-byte values; a
+// Value is a one-byte tag (0 null, 1 bool, 2 int, 3 double, 4 string)
+// followed by its payload.
+//
+// BinaryReader takes untrusted bytes. Two rules keep every decoder safe:
+// element counts are read through Count(), which bounds them by the bytes
+// left, and enum bytes are read through Enum(), which rejects values past
+// the enum's last enumerator. A decoder turns a false return into
+// kDataLoss.
 
 #ifndef VIZQUERY_COMMON_BINARY_IO_H_
 #define VIZQUERY_COMMON_BINARY_IO_H_
@@ -8,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "src/common/value.h"
 
@@ -16,10 +26,10 @@ namespace vizq {
 class BinaryWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { Raw(&v, 4); }
-  void U64(uint64_t v) { Raw(&v, 8); }
+  void U32(uint32_t v) { Bytes(&v, 4); }
+  void U64(uint64_t v) { Bytes(&v, 8); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) { Raw(&v, 8); }
+  void F64(double v) { Bytes(&v, 8); }
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
     out_.append(s);
@@ -42,13 +52,15 @@ class BinaryWriter {
     }
   }
 
+  // Raw host bytes; the host is little-endian like the format.
+  void Bytes(const void* p, size_t n) {
+    out_.append(reinterpret_cast<const char*>(p), n);
+  }
+
   const std::string& bytes() const { return out_; }
   std::string TakeBytes() { return std::move(out_); }
 
  private:
-  void Raw(const void* p, size_t n) {
-    out_.append(reinterpret_cast<const char*>(p), n);
-  }
   std::string out_;
 };
 
@@ -61,15 +73,15 @@ class BinaryReader {
     *v = static_cast<uint8_t>(data_[pos_++]);
     return true;
   }
-  bool U32(uint32_t* v) { return Raw(v, 4); }
-  bool U64(uint64_t* v) { return Raw(v, 8); }
+  bool U32(uint32_t* v) { return Bytes(v, 4); }
+  bool U64(uint64_t* v) { return Bytes(v, 8); }
   bool I64(int64_t* v) {
     uint64_t u;
     if (!U64(&u)) return false;
     *v = static_cast<int64_t>(u);
     return true;
   }
-  bool F64(double* v) { return Raw(v, 8); }
+  bool F64(double* v) { return Bytes(v, 8); }
   bool Str(std::string* s) {
     uint32_t n;
     if (!U32(&n) || pos_ + n > data_.size()) return false;
@@ -112,15 +124,33 @@ class BinaryReader {
         return false;
     }
   }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool Raw(void* p, size_t n) {
-    if (pos_ + n > data_.size()) return false;
-    std::memcpy(p, data_.data() + pos_, n);
+  // Reads an element count at the width the format writes it (u32 or
+  // u64) and rejects it unless that many elements of at least `min_bytes`
+  // encoded bytes each (>= 1) still fit in the unread input, so a corrupt
+  // count can drive neither a huge reserve() nor a long loop.
+  template <typename T>
+  bool Count(T* n, size_t min_bytes) {
+    static_assert(std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t>);
+    return Bytes(n, sizeof(T)) && *n <= (data_.size() - pos_) / min_bytes;
+  }
+  // Reads a one-byte enum, rejecting bytes past its `last` enumerator.
+  template <typename E>
+  bool Enum(E* e, E last) {
+    static_assert(sizeof(E) == 1);
+    uint8_t b;
+    if (!U8(&b) || b > static_cast<uint8_t>(last)) return false;
+    *e = static_cast<E>(b);
+    return true;
+  }
+  bool Bytes(void* p, size_t n) {
+    if (n > data_.size() - pos_) return false;
+    if (n > 0) std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
     return true;
   }
+  bool AtEnd() const { return pos_ == data_.size(); }
+
+ private:
   const std::string& data_;
   size_t pos_ = 0;
 };

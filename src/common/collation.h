@@ -22,6 +22,7 @@ enum class Collation : uint8_t {
   kBinary = 0,
   kCaseInsensitive = 1,
 };
+inline constexpr Collation kLastCollation = Collation::kCaseInsensitive;
 
 const char* CollationToString(Collation c);
 

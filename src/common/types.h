@@ -24,6 +24,8 @@ enum class TypeKind : uint8_t {
   kString = 3,
   kDate = 4,  // days since 1970-01-01, stored as int64
 };
+// Decoders reject kind bytes past this (BinaryReader::Enum).
+inline constexpr TypeKind kLastTypeKind = TypeKind::kDate;
 
 const char* TypeKindToString(TypeKind kind);
 
@@ -70,6 +72,7 @@ enum class AggFunc : uint8_t {
   kAvg,            // decomposed into SUM/COUNT internally for re-aggregation
   kCountDistinct,  // not re-aggregable from partials; blocks cache roll-up
 };
+inline constexpr AggFunc kLastAggFunc = AggFunc::kCountDistinct;
 
 const char* AggFuncToString(AggFunc f);
 

@@ -289,13 +289,19 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
   std::condition_variable cv;
   std::vector<GroupOutcome> completed;
 
-  auto run_group = [&](int gi) {
+  // Each group's work nests under its own "group" span. The serving
+  // thread starts all of them, in group order, before the first task can
+  // run, so the trace tree has the same shape however the scheduler
+  // interleaves the groups.
+  auto run_group = [&](int gi, Span* group_span) {
+    ScopedSpan owned(group_span);
+    ExecContext gctx = bctx.WithSpan(group_span);
     GroupOutcome outcome;
     outcome.group = gi;
     outcome.sent = cache::AdjustForReuse(groups[gi].fused, options.adjust);
     auto started = std::chrono::steady_clock::now();
     bool literal_hit = false;
-    auto result = ExecuteRemote(bctx, outcome.sent, options, &literal_hit);
+    auto result = ExecuteRemote(gctx, outcome.sent, options, &literal_hit);
     outcome.ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - started)
                      .count();
@@ -304,7 +310,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
       outcome.result = *std::move(result);
       if (options.use_intelligent_cache && caches_ != nullptr) {
         caches_->intelligent.Put(outcome.sent, outcome.result, outcome.ms,
-                                 bctx);
+                                 gctx);
         if (caches_->shared != nullptr) {
           caches_->shared->Put(cache::SharedKey(outcome.sent),
                                outcome.result.Serialize());
@@ -340,8 +346,14 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     std::string task_name = options.node_id.empty()
                                 ? "batch-group"
                                 : "batch-group@" + options.node_id;
+    std::vector<Span*> group_spans;
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-      workers->Spawn([&, gi] { run_group(static_cast<int>(gi)); }, task_name);
+      group_spans.push_back(bctx.StartSpan("group"));
+    }
+    for (size_t gi = 0; gi < groups.size(); ++gi) {
+      Span* span = group_spans[gi];
+      workers->Spawn([&, gi, span] { run_group(static_cast<int>(gi), span); },
+                     task_name);
     }
   }
 
@@ -376,7 +388,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
       outcome = std::move(completed.back());
       completed.pop_back();
     } else {
-      run_group(static_cast<int>(done));
+      run_group(static_cast<int>(done), bctx.StartSpan("group"));
       outcome = std::move(completed.back());
       completed.pop_back();
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 namespace vizq::obs {
 
@@ -193,7 +194,16 @@ void AppendRequestEvents(const RecordedRequest& request, bool* first,
                          std::string* out) {
   int64_t pid = request.id;
   AppendSpanEvents(request.root, pid, 0, first, out);
-  for (const RecordedEvent& ev : request.events) {
+  // Concurrent tasks log breadcrumbs in whatever order their threads run,
+  // so instants are emitted sorted by (category, detail): the export is a
+  // function of the event set, and viewers place them by "ts" anyway.
+  std::vector<RecordedEvent> events = request.events;
+  std::sort(events.begin(), events.end(),
+            [](const RecordedEvent& a, const RecordedEvent& b) {
+              return std::tie(a.category, a.detail) <
+                     std::tie(b.category, b.detail);
+            });
+  for (const RecordedEvent& ev : events) {
     if (!*first) out->push_back(',');
     *first = false;
     out->append("{\"name\":\"");

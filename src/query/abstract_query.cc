@@ -102,30 +102,34 @@ std::string AbstractQuery::Serialize() const {
 StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
   BinaryReader r(bytes);
   AbstractQuery q;
-  auto fail = [] { return DataLoss("AbstractQuery: truncated"); };
+  auto fail = [] { return DataLoss("AbstractQuery: malformed"); };
   if (!r.Str(&q.data_source) || !r.Str(&q.view)) return fail();
+  // Counts are bounded by each element's smallest encoding.
   uint32_t n;
-  if (!r.U32(&n)) return fail();
+  if (!r.Count(&n, 4)) return fail();
   for (uint32_t i = 0; i < n; ++i) {
     std::string d;
     if (!r.Str(&d)) return fail();
     q.dimensions.push_back(std::move(d));
   }
-  if (!r.U32(&n)) return fail();
+  if (!r.Count(&n, 1 + 4 + 4)) return fail();
   for (uint32_t i = 0; i < n; ++i) {
     Measure m;
-    uint8_t func;
-    if (!r.U8(&func) || !r.Str(&m.column) || !r.Str(&m.alias)) return fail();
-    m.func = static_cast<AggFunc>(func);
+    if (!r.Enum(&m.func, kLastAggFunc) || !r.Str(&m.column) ||
+        !r.Str(&m.alias)) {
+      return fail();
+    }
     q.measures.push_back(std::move(m));
   }
-  if (!r.U32(&n)) return fail();
+  if (!r.Count(&n, 4 + 1 + 4 + 4)) return fail();
   for (uint32_t i = 0; i < n; ++i) {
     ColumnPredicate p;
-    uint8_t kind, flag;
+    uint8_t flag;
     uint32_t nv;
-    if (!r.Str(&p.column) || !r.U8(&kind) || !r.U32(&nv)) return fail();
-    p.kind = static_cast<ColumnPredicate::Kind>(kind);
+    if (!r.Str(&p.column) || !r.Enum(&p.kind, ColumnPredicate::kLastKind) ||
+        !r.Count(&nv, 1)) {
+      return fail();
+    }
     for (uint32_t v = 0; v < nv; ++v) {
       Value val;
       if (!r.Val(&val)) return fail();
@@ -149,7 +153,7 @@ StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
     p.upper_inclusive = flag != 0;
     q.filters.predicates.push_back(std::move(p));
   }
-  if (!r.U32(&n)) return fail();
+  if (!r.Count(&n, 4 + 1)) return fail();
   for (uint32_t i = 0; i < n; ++i) {
     OrderSpec o;
     uint8_t asc;

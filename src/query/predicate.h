@@ -22,6 +22,7 @@ namespace vizq::query {
 // A constraint on a single column: either a value set (IN) or a range.
 struct ColumnPredicate {
   enum class Kind : uint8_t { kInSet, kRange };
+  static constexpr Kind kLastKind = Kind::kRange;
 
   std::string column;
   Kind kind = Kind::kInSet;

@@ -45,6 +45,7 @@ enum class Encoding : uint8_t {
   kRle = 2,
   kDelta = 3,
 };
+inline constexpr Encoding kLastEncoding = Encoding::kDelta;
 
 const char* EncodingToString(Encoding e);
 
