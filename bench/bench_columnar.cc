@@ -21,10 +21,21 @@
 // it), and the RLE IndexTable rewrite is disabled for the filter workload
 // (E7 measures that axis; here the scan shape must stay fixed).
 //
-// --emit-json=PATH writes BENCH_columnar.json and enforces the acceptance
-// bars: >=5x on the dictionary-key group-by, >=10x on the selective
-// RLE-run filter, and an EXPLAIN ANALYZE plan confirming the encoded
-// operators actually ran (exit 2 below bar, exit 1 on malfunction).
+// A third set runs the perfbench `explore` shapes on the 1M-row FAA
+// extract under a quick filter keeping 13 of 14 carriers, with every
+// optimizer default (rle_index=kAuto, streaming on), so range skipping,
+// integer keys and the partial aggregate below the carriers join all
+// interact as they do in the dashboard workload:
+//   * origin_state — range skipping feeding a dictionary-key dense group-by;
+//   * dep_hour     — an int64 key (dense over its stats range);
+//   * airline_name — the dimension attribute behind the carriers join.
+//
+// --emit-json=PATH writes BENCH_columnar.json (with --git-sha=SHA for the
+// record's commit) and enforces the acceptance bars: >=5x on the
+// dictionary-key group-by, >=10x on the selective RLE-run filter, and
+// EXPLAIN ANALYZE plans confirming the encoded operators actually ran,
+// `dense` in every explore shape (exit 2 below bar, exit 1 on
+// malfunction).
 
 #include <benchmark/benchmark.h>
 
@@ -33,11 +44,18 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/tde/engine.h"
 #include "src/tde/storage/database.h"
 #include "src/tde/storage/table.h"
+
+#ifndef VIZQ_BUILD_TYPE
+#define VIZQ_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -75,6 +93,47 @@ const char kGroupBySum[] =
     "(aggregate ((k k)) ((n count*) (s sum v)) (scan fact))";
 const char kSelectiveFilter[] =
     "(aggregate ((k k)) ((n count*)) (select (< r 2) (scan fact)))";
+
+constexpr int64_t kExploreRows = 1000000;
+
+struct ExploreShape {
+  const char* name;
+  std::string tql;
+};
+
+// The explore workload's zone queries under a carrier quick filter that
+// keeps all carriers but the first.
+const std::vector<ExploreShape>& ExploreShapes() {
+  static const std::vector<ExploreShape>* shapes = [] {
+    std::string in = "(in carrier";
+    const std::vector<std::string>& codes = workload::FaaCarrierCodes();
+    for (size_t c = 1; c < codes.size(); ++c) in += " \"" + codes[c] + "\"";
+    in += ")";
+    const std::string measures =
+        " ((n count*) (s sum arr_delay) (c count arr_delay)) ";
+    return new std::vector<ExploreShape>{
+        {"origin_state",
+         "(aggregate ((origin_state origin_state))" + measures + "(select " +
+             in + " (scan flights)))"},
+        {"dep_hour", "(aggregate ((dep_hour dep_hour))" + measures +
+                         "(select " + in + " (scan flights)))"},
+        {"airline_name",
+         "(aggregate ((airline_name airline_name))" + measures + "(select " +
+             in +
+             " (join inner ((carrier code)) (scan flights) (scan carriers) "
+             "referential)))"},
+    };
+  }();
+  return *shapes;
+}
+
+// Every optimizer default except the encoded-exec switch.
+tde::QueryOptions ExploreOptions(bool encoded) {
+  tde::QueryOptions o = tde::QueryOptions::Serial();
+  o.collect_analysis = false;
+  o.optimizer.enable_encoded_exec = encoded;
+  return o;
+}
 
 tde::QueryOptions BenchOptions(bool encoded) {
   tde::QueryOptions o = tde::QueryOptions::Serial();
@@ -131,10 +190,28 @@ void BM_SelectiveRleFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectiveRleFilter)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// range(0): explore shape index; range(1): 1 = encoded.
+void BM_ExploreShape(benchmark::State& state) {
+  tde::TdeEngine engine(benchutil::FaaDb(kExploreRows));
+  const ExploreShape& shape = ExploreShapes()[state.range(0)];
+  tde::QueryOptions options = ExploreOptions(state.range(1) == 1);
+  for (auto _ : state) {
+    auto result = engine.Execute(shape.tql, options);
+    if (!result.ok()) state.SkipWithError("query failed");
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * kExploreRows);
+  state.SetLabel(std::string(shape.name) +
+                 (state.range(1) == 1 ? " encoded" : " decoded"));
+}
+BENCHMARK(BM_ExploreShape)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // --emit-json=PATH: the BENCH_columnar.json record (EXPERIMENTS.md E17).
 
-int EmitJson(const std::string& path) {
+int EmitJson(const std::string& path, const std::string& git_sha) {
   tde::TdeEngine engine(ColumnarDb());
   std::fprintf(stderr, "columnar: %lld rows, %d-value dict key, %d-run "
                "filter column\n",
@@ -168,6 +245,30 @@ int EmitJson(const std::string& path) {
   double fl_dec = TimeQuery(engine, kSelectiveFilter, BenchOptions(false));
   double fl_enc = TimeQuery(engine, kSelectiveFilter, BenchOptions(true));
 
+  // Explore shapes: the plan with every default must aggregate dense.
+  tde::TdeEngine faa(benchutil::FaaDb(kExploreRows));
+  struct ExploreTiming {
+    double decoded_ms = 0;
+    double encoded_ms = 0;
+  };
+  std::vector<ExploreTiming> explore;
+  for (const ExploreShape& shape : ExploreShapes()) {
+    tde::QueryOptions o = ExploreOptions(/*encoded=*/true);
+    o.collect_analysis = true;
+    auto run = faa.Execute(shape.tql, o);
+    if (!run.ok() ||
+        run->analysis->ToText().find(" dense") == std::string::npos) {
+      std::fprintf(stderr, "explore %s: no dense aggregation:\n%s\n",
+                   shape.name,
+                   run.ok() ? run->analysis->ToText().c_str()
+                            : run.status().ToString().c_str());
+      return 1;
+    }
+    explore.push_back(
+        {TimeQuery(faa, shape.tql, ExploreOptions(false)),
+         TimeQuery(faa, shape.tql, ExploreOptions(true))});
+  }
+
   double gb_x = gb_enc > 0 ? gb_dec / gb_enc : 0;
   double gbs_x = gbs_enc > 0 ? gbs_dec / gbs_enc : 0;
   double fl_x = fl_enc > 0 ? fl_dec / fl_enc : 0;
@@ -178,29 +279,51 @@ int EmitJson(const std::string& path) {
                gb_dec, gb_enc, gb_x, gbs_dec, gbs_enc, gbs_x, fl_dec, fl_enc,
                fl_x);
 
+  std::string explore_json;
+  for (size_t i = 0; i < explore.size(); ++i) {
+    const ExploreTiming& t = explore[i];
+    char entry[256];
+    std::snprintf(entry, sizeof(entry),
+                  "    \"explore_%s\": {\"decoded_ms\": %.3f, "
+                  "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n",
+                  ExploreShapes()[i].name, t.decoded_ms, t.encoded_ms,
+                  t.encoded_ms > 0 ? t.decoded_ms / t.encoded_ms : 0);
+    std::fprintf(stderr, "  explore %-13s decoded %.2f ms, encoded %.2f ms\n",
+                 ExploreShapes()[i].name, t.decoded_ms, t.encoded_ms);
+    explore_json += entry;
+  }
+
   std::ofstream f(path, std::ios::trunc);
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"columnar\",\n"
-                "  \"workload\": \"%lld rows sorted by %d-value dict key; "
-                "%d-run rle filter column; serial, streaming-agg and "
-                "rle-index off\",\n"
-                "  \"groupby_count\": {\"decoded_ms\": %.3f, \"encoded_ms\": "
-                "%.3f, \"speedup_x\": %.2f},\n"
-                "  \"groupby_count_sum\": {\"decoded_ms\": %.3f, "
-                "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
-                "  \"selective_filter\": {\"decoded_ms\": %.3f, "
-                "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
-                "  \"plan_confirms_encoded\": true\n"
-                "}\n",
-                static_cast<long long>(kRows), kKeyCardinality, kRunValues,
-                gb_dec, gb_enc, gb_x, gbs_dec, gbs_enc, gbs_x, fl_dec, fl_enc,
-                fl_x);
+  char buf[2048];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\n"
+      "  \"bench\": \"columnar\",\n"
+      "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\"},\n"
+      "  \"git_sha\": \"%s\",\n"
+      "  \"workload\": \"%lld rows sorted by %d-value dict key; %d-run rle "
+      "filter column; serial, streaming-agg and rle-index off. explore_*: "
+      "%lld-row FAA extract, 13-of-14 carrier quick filter, serial, every "
+      "optimizer default\",\n"
+      "  \"metrics\": {\n"
+      "    \"groupby_count\": {\"decoded_ms\": %.3f, \"encoded_ms\": %.3f, "
+      "\"speedup_x\": %.2f},\n"
+      "    \"groupby_count_sum\": {\"decoded_ms\": %.3f, \"encoded_ms\": "
+      "%.3f, \"speedup_x\": %.2f},\n"
+      "    \"selective_filter\": {\"decoded_ms\": %.3f, \"encoded_ms\": "
+      "%.3f, \"speedup_x\": %.2f},\n"
+      "%s"
+      "    \"plan_confirms_encoded\": true\n"
+      "  }\n"
+      "}\n",
+      std::thread::hardware_concurrency(), VIZQ_BUILD_TYPE, git_sha.c_str(),
+      static_cast<long long>(kRows), kKeyCardinality, kRunValues,
+      static_cast<long long>(kExploreRows), gb_dec, gb_enc, gb_x, gbs_dec,
+      gbs_enc, gbs_x, fl_dec, fl_enc, fl_x, explore_json.c_str());
   f << buf;
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   // Acceptance: >=5x on the dictionary-key group-by, >=10x on the
@@ -211,11 +334,16 @@ int EmitJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  std::string git_sha = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--emit-json=", 12) == 0) {
-      return EmitJson(argv[i] + 12);
+      json_path = argv[i] + 12;
+    } else if (std::strncmp(argv[i], "--git-sha=", 10) == 0) {
+      git_sha = argv[i] + 10;
     }
   }
+  if (!json_path.empty()) return EmitJson(json_path, git_sha);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -262,7 +262,9 @@ void HashAggregateOperator::UpdateFinalAccumulator(GroupTable& gt,
       break;
     case AggFunc::kAvg: {
       const ColumnVector& c1 = in.columns[first_col + 1];
-      if (!c0.IsNull(row)) acc.sum_d[group] += c0.doubles[row];
+      // The sum state is Float64 from a kPartial aggregate, or the SUM of
+      // an int column when the partial ran below a join.
+      if (!c0.IsNull(row)) acc.sum_d[group] += c0.DoubleAt(row);
       if (!c1.IsNull(row)) acc.count[group] += c1.ints[row];
       break;
     }
@@ -557,15 +559,12 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
 
   // Resolve agg args. Bare column refs stay as-is (possibly run-encoded,
   // folded below); computed args evaluate through the normal vectorized
-  // path over flat columns. `owned` also provides the COUNT(*) dummy.
+  // path over flat columns.
   std::vector<const ColumnVector*> args(specs_.size(), nullptr);
   std::vector<ColumnVector> owned(specs_.size());
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
-    if (spec.arg == nullptr) {
-      args[s] = &owned[s];
-      continue;
-    }
+    if (spec.arg == nullptr) continue;
     if (spec.arg->kind == ExprKind::kColumnRef && spec.arg->column_index >= 0) {
       args[s] = &in.columns[spec.arg->column_index];
       continue;
@@ -578,63 +577,63 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
     VIZQ_ASSIGN_OR_RETURN(owned[s], EvalExpr(*spec.arg, in));
     args[s] = &owned[s];
   }
-  std::vector<size_t> arg_run(specs_.size(), 0);
 
+  // Pass 1: cut the live rows into segments [start, end) on which every
+  // key column is constant — bounded by the enclosing run of each
+  // run-encoded key, one row for flat keys, and by gaps in the selection
+  // vector — and resolve each segment's group through its cell. Runs never
+  // straddle null boundaries, so a segment's first row carries its null
+  // status.
+  struct Segment {
+    int64_t start;
+    int64_t end;
+    int64_t group;
+  };
+  std::vector<Segment> segs;
   const int32_t* sel = in.has_selection ? in.selection.data() : nullptr;
   const size_t sel_n = in.selection.size();
   size_t sel_idx = 0;
-
-  int64_t pos = 0;
+  int64_t pos = sel == nullptr ? 0 : (sel_n > 0 ? sel[0] : n);
   while (pos < n) {
-    // Maximal segment [pos, seg_end) on which every key column is constant:
-    // bounded by the enclosing run of each run-encoded key, one row for
-    // flat keys. Cell digit 0 encodes NULL (runs never straddle null
-    // boundaries, so the run's first row carries its null status).
     int64_t seg_end = n;
     int64_t cell = 0;
     for (size_t k = 0; k < keys.size(); ++k) {
       const ColumnVector& kc = *keys[k];
-      int64_t token;
+      int64_t value;
       if (kc.is_run_encoded()) {
         while (kc.runs[key_run[k]].start + kc.runs[key_run[k]].count <= pos) {
           ++key_run[k];
         }
         const RleRun& r = kc.runs[key_run[k]];
-        token = kc.IsNull(pos) ? -1 : r.value;
+        value = r.value;
         seg_end = std::min(seg_end, r.start + r.count);
       } else {
-        token = kc.IsNull(pos) ? -1 : kc.ints[pos];
+        value = kc.ints[pos];
         seg_end = std::min(seg_end, pos + 1);
       }
-      cell = cell * (dense_.key_cards[k] + 1) + (token + 1);
+      uint64_t digit = 0;
+      if (!kc.IsNull(pos)) {
+        // Unsigned subtraction: well-defined for any payload, and a value
+        // below min wraps to a huge offset that the range check rejects.
+        uint64_t offset = static_cast<uint64_t>(value) -
+                          static_cast<uint64_t>(dense_.key_mins[k]);
+        if (offset >= static_cast<uint64_t>(dense_.key_cards[k])) {
+          return Internal("dense aggregate: key value " +
+                          std::to_string(value) +
+                          " outside its planned range");
+        }
+        digit = offset + 1;
+      }
+      cell = cell * (dense_.key_cards[k] + 1) + static_cast<int64_t>(digit);
     }
-
     if (sel != nullptr) {
-      // Selection path: update per live row (accessors are run-aware).
-      // Segments with no survivors must not create their group.
-      size_t first = sel_idx;
-      while (sel_idx < sel_n && sel[sel_idx] < seg_end) ++sel_idx;
-      if (sel_idx == first) {
-        pos = seg_end;
-        continue;
+      int64_t end = pos + 1;
+      ++sel_idx;
+      while (end < seg_end && sel_idx < sel_n && sel[sel_idx] == end) {
+        ++end;
+        ++sel_idx;
       }
-      int64_t g = cell_to_group_[cell];
-      if (g < 0) {
-        g = main_.num_groups++;
-        for (size_t k = 0; k < keys.size(); ++k) {
-          main_.group_store[k].AppendFrom(*keys[k], pos);
-        }
-        AppendGroupSlots(main_);
-        cell_to_group_[cell] = static_cast<int32_t>(g);
-      }
-      for (size_t i = first; i < sel_idx; ++i) {
-        int64_t r = sel[i];
-        for (size_t s = 0; s < specs_.size(); ++s) {
-          UpdateAccumulator(main_, static_cast<int>(s), g, *args[s], r);
-        }
-      }
-      pos = seg_end;
-      continue;
+      seg_end = end;
     }
 
     int64_t g = cell_to_group_[cell];
@@ -646,27 +645,37 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
       AppendGroupSlots(main_);
       cell_to_group_[cell] = static_cast<int32_t>(g);
     }
-    int64_t seg_len = seg_end - pos;
-    for (size_t s = 0; s < specs_.size(); ++s) {
-      const AggSpec& spec = specs_[s];
-      Accumulator& acc = main_.accums[s];
-      if (spec.arg == nullptr) {  // COUNT(*)
-        acc.count[g] += seg_len;
-        continue;
-      }
-      const ColumnVector& a = *args[s];
-      if (a.is_run_encoded()) {
-        // Fold whole runs: one multiply-add per run instead of per row.
-        while (a.runs[arg_run[s]].start + a.runs[arg_run[s]].count <= pos) {
-          ++arg_run[s];
-        }
-        for (size_t ri = arg_run[s]; ri < a.runs.size(); ++ri) {
-          const RleRun& r = a.runs[ri];
-          int64_t f = std::max(pos, r.start);
-          int64_t t = std::min(seg_end, r.start + r.count);
+    if (!segs.empty() && segs.back().group == g && segs.back().end == pos) {
+      segs.back().end = seg_end;
+    } else {
+      segs.push_back(Segment{pos, seg_end, g});
+    }
+    pos = sel == nullptr ? seg_end : (sel_idx < sel_n ? sel[sel_idx] : n);
+  }
+
+  // Pass 2: one tight loop per aggregate over the segments. Run-encoded
+  // args fold whole runs (one multiply-add per run); flat args update per
+  // row with the function resolved once per batch.
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    const AggSpec& spec = specs_[s];
+    Accumulator& acc = main_.accums[s];
+    if (spec.arg == nullptr) {  // COUNT(*)
+      for (const Segment& seg : segs) acc.count[seg.group] += seg.end - seg.start;
+      continue;
+    }
+    const ColumnVector& a = *args[s];
+    if (a.is_run_encoded()) {
+      size_t ri = 0;
+      for (const Segment& seg : segs) {
+        while (a.runs[ri].start + a.runs[ri].count <= seg.start) ++ri;
+        for (size_t rj = ri; rj < a.runs.size(); ++rj) {
+          const RleRun& r = a.runs[rj];
+          int64_t f = std::max(seg.start, r.start);
+          int64_t t = std::min(seg.end, r.start + r.count);
           if (f >= t) break;
           if (a.IsNull(f)) continue;  // null run: aggregates skip nulls
-          int64_t len = t - f;
+          const int64_t g = seg.group;
+          const int64_t len = t - f;
           switch (spec.func) {
             case AggFunc::kSum:
               if (SumIsIntegral(spec)) {
@@ -693,13 +702,49 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
               break;  // handled above
           }
         }
-      } else {
-        for (int64_t r = pos; r < seg_end; ++r) {
-          UpdateAccumulator(main_, static_cast<int>(s), g, a, r);
-        }
       }
+      continue;
     }
-    pos = seg_end;
+    const bool doubles = a.type.kind == TypeKind::kFloat64;
+    switch (spec.func) {
+      case AggFunc::kCount:
+        for (const Segment& seg : segs) {
+          for (int64_t r = seg.start; r < seg.end; ++r) {
+            acc.count[seg.group] += a.IsNull(r) ? 0 : 1;
+          }
+        }
+        break;
+      case AggFunc::kSum:
+        for (const Segment& seg : segs) {
+          for (int64_t r = seg.start; r < seg.end; ++r) {
+            if (a.IsNull(r)) continue;
+            if (doubles) {
+              acc.sum_d[seg.group] += a.doubles[r];
+            } else {
+              acc.sum_i[seg.group] += a.ints[r];
+            }
+            acc.has_value[seg.group] = 1;
+          }
+        }
+        break;
+      case AggFunc::kAvg:
+        for (const Segment& seg : segs) {
+          for (int64_t r = seg.start; r < seg.end; ++r) {
+            if (a.IsNull(r)) continue;
+            acc.sum_d[seg.group] +=
+                doubles ? a.doubles[r] : static_cast<double>(a.ints[r]);
+            ++acc.count[seg.group];
+          }
+        }
+        break;
+      default:
+        for (const Segment& seg : segs) {
+          for (int64_t r = seg.start; r < seg.end; ++r) {
+            UpdateAccumulator(main_, static_cast<int>(s), seg.group, a, r);
+          }
+        }
+        break;
+    }
   }
   return OkStatus();
 }
@@ -998,8 +1043,13 @@ StatusOr<bool> StreamingAggregateOperator::Next(Batch* batch) {
       bool same_group = in_group_;
       if (in_group_) {
         for (size_t k = 0; k < key_cols.size(); ++k) {
-          Value v = key_cols[k].GetValue(r);
-          if (v.Compare(current_key_[k], key_cols[k].type.collation) != 0) {
+          // Row r-1 belongs to the current group: compare in the batch
+          // (dictionary tokens, no string copies) past the first row.
+          const ColumnVector& kc = key_cols[k];
+          int cmp = r > 0 ? kc.CompareAt(r, kc, r - 1)
+                          : kc.GetValue(r).Compare(current_key_[k],
+                                                   kc.type.collation);
+          if (cmp != 0) {
             same_group = false;
             break;
           }

@@ -46,15 +46,18 @@ struct GroupExpr {
 // kPartial -> Exchange -> kFinal plans.
 std::vector<ResultColumn> PartialStateColumns(const AggSpec& spec);
 
-// Configuration of the dense (token-indexed) grouping path: every group key
-// is a bare reference to a dictionary-token child column, so a group's
-// identity is a mixed-radix cell index over (token+1) digits — radix
-// card+1, digit 0 reserved for NULL — and the usual hash probe becomes one
-// array lookup. Decided by the optimizer (DecideEncodedExec, DESIGN.md §11).
+// Configuration of the dense (array-indexed) grouping path: every group
+// key is a bare reference to a dictionary-token column or to a fixed-width
+// column with a small stats range, so a group's identity is a mixed-radix
+// cell index over per-key digits — digit 0 for NULL, `value - min + 1`
+// otherwise (min 0 for tokens), radix card+1 — and the usual hash probe
+// becomes one array lookup. Decided by the optimizer (DecideEncodedExec,
+// DESIGN.md §11) from dictionary sizes and column stats.
 struct DenseAggConfig {
   bool enabled = false;
   std::vector<int> key_columns;    // child column index per group key
-  std::vector<int64_t> key_cards;  // dictionary size per key column
+  std::vector<int64_t> key_cards;  // distinct digits per key column
+  std::vector<int64_t> key_mins;   // value of digit 1 per key column
   int64_t total_cells = 1;         // prod(card + 1), capped by the optimizer
 };
 
@@ -79,7 +82,7 @@ class HashAggregateOperator : public Operator {
                         std::vector<AggSpec> specs, AggPhase phase,
                         const ExecContext& ctx = ExecContext::Background());
 
-  // Switches group lookup to the dense token-indexed path and enables
+  // Switches group lookup to the dense array-indexed path and enables
   // whole-run folding of RLE argument columns (one multiply-add per run).
   // Only valid when the config matches this operator's group exprs; the
   // planner guarantees that. Not supported for kFinal.

@@ -1,6 +1,7 @@
 #include "src/tde/exec/rle_index.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace vizq::tde {
 
@@ -100,55 +101,113 @@ RleIndexScanOperator::RleIndexScanOperator(std::shared_ptr<const Table> table,
 Status RleIndexScanOperator::Open() {
   range_idx_ = 0;
   offset_in_range_ = 0;
+  delta_cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
   return OkStatus();
 }
 
+namespace {
+
+// Appends `piece` to `out`, moving it when `out` is still empty (the
+// batch's first piece).
+template <typename T>
+void AppendPiece(std::vector<T>&& piece, std::vector<T>* out) {
+  if (out->empty()) {
+    *out = std::move(piece);
+  } else {
+    out->insert(out->end(), std::make_move_iterator(piece.begin()),
+                std::make_move_iterator(piece.end()));
+  }
+}
+
+// Appends rows [start, start + count) of `col` to the flat payload of `cv`.
+void AppendDecoded(const Column& col, int64_t start, int64_t count,
+                   Column::DecodeCursor* cursor, ColumnVector* cv) {
+  switch (cv->type.kind) {
+    case TypeKind::kFloat64: {
+      std::vector<double> piece;
+      col.DecodeDoubles(start, count, &piece, nullptr);
+      AppendPiece(std::move(piece), &cv->doubles);
+      return;
+    }
+    case TypeKind::kString:
+      if (cv->dict == nullptr) {
+        std::vector<std::string> piece;
+        col.DecodeStrings(start, count, &piece, nullptr);
+        AppendPiece(std::move(piece), &cv->strings);
+        return;
+      }
+      break;  // dictionary tokens travel as ints
+    default:
+      break;
+  }
+  std::vector<int64_t> piece;
+  col.DecodeIntsResumable(cursor, start, count, &piece, nullptr);
+  AppendPiece(std::move(piece), &cv->ints);
+}
+
+}  // namespace
+
 StatusOr<bool> RleIndexScanOperator::Next(Batch* batch) {
-  if (range_idx_ >= ranges_.size()) return false;
-  const RowRange& range = ranges_[range_idx_];
-  int64_t row = range.start + offset_in_range_;
-  int64_t remaining = range.count - offset_in_range_;
-  int64_t count = std::min(kBatchRows, remaining);
+  // Pack the surviving ranges (or pieces of them) into one full batch.
+  std::vector<RowRange> pieces;
+  int64_t count = 0;
+  while (count < kBatchRows && range_idx_ < ranges_.size()) {
+    const RowRange& range = ranges_[range_idx_];
+    int64_t take =
+        std::min(kBatchRows - count, range.count - offset_in_range_);
+    if (take > 0) {
+      pieces.push_back(RowRange{range.start + offset_in_range_, take});
+      count += take;
+      offset_in_range_ += take;
+    }
+    if (offset_in_range_ >= range.count) {
+      ++range_idx_;
+      offset_in_range_ = 0;
+    }
+  }
+  if (count == 0) return false;
 
   *batch = schema_.NewBatch();
+  int64_t encoded_rows = 0;
+  std::vector<uint8_t> piece_nulls;
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     const Column& col = *table_->column(column_indices_[i]);
     ColumnVector& cv = batch->columns[i];
-    std::vector<uint8_t> nulls;
-    switch (cv.type.kind) {
-      case TypeKind::kFloat64:
-        col.DecodeDoubles(row, count, &cv.doubles, &nulls);
-        break;
-      case TypeKind::kString:
-        if (cv.dict != nullptr) {
-          col.DecodeInts(row, count, &cv.ints, &nulls);
-        } else {
-          col.DecodeStrings(row, count, &cv.strings, &nulls);
-        }
-        break;
-      default:
-        col.DecodeInts(row, count, &cv.ints, &nulls);
-        break;
-    }
-    bool any_null = false;
-    for (uint8_t b : nulls) {
-      if (b != 0) {
-        any_null = true;
-        break;
+    const bool keep_runs = emit_encoded_ && col.is_rle();
+    int64_t at = 0;
+    for (const RowRange& p : pieces) {
+      if (keep_runs) {
+        // Runs of one piece are rebased onto the piece's batch offset;
+        // together they stay contiguous and cover [0, count).
+        size_t first = cv.runs.size();
+        col.EmitRuns(p.start, p.count, &cv.runs);
+        for (size_t r = first; r < cv.runs.size(); ++r) cv.runs[r].start += at;
+      } else {
+        AppendDecoded(col, p.start, p.count, &delta_cursors_[i], &cv);
       }
+      // The null mask stays flat and is only materialized when some
+      // piece holds a null ("empty means no nulls").
+      col.DecodeNulls(p.start, p.count, &piece_nulls);
+      if (!piece_nulls.empty()) {
+        cv.nulls.resize(at, 0);
+        cv.nulls.insert(cv.nulls.end(), piece_nulls.begin(),
+                        piece_nulls.end());
+      } else if (!cv.nulls.empty()) {
+        cv.nulls.resize(at + p.count, 0);
+      }
+      at += p.count;
     }
-    if (any_null) cv.nulls = std::move(nulls);
+    if (keep_runs) {
+      cv.run_encoded = true;
+      encoded_rows += count;
+    }
   }
   batch->num_rows = count;
 
-  offset_in_range_ += count;
-  if (offset_in_range_ >= range.count) {
-    ++range_idx_;
-    offset_in_range_ = 0;
-  }
   if (stats_ != nullptr) {
     std::lock_guard<std::mutex> lock(stats_->mu);
     stats_->rows_scanned += count;
+    stats_->encoded_rows_undecoded += encoded_rows;
     ++stats_->batches;
   }
   return true;

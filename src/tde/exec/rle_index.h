@@ -38,12 +38,17 @@ std::vector<std::vector<RowRange>> SplitRanges(
     const std::vector<RowRange>& ranges, int dop);
 
 // Scans only the given ranges of `table`, producing `column_indices`.
+// Consecutive ranges are packed into full kBatchRows batches.
 class RleIndexScanOperator : public Operator {
  public:
   RleIndexScanOperator(std::shared_ptr<const Table> table,
                        std::vector<int> column_indices,
                        std::vector<RowRange> ranges,
                        ExecStats* stats = nullptr);
+
+  // Encoded emission (DESIGN.md §11), as TableScanOperator::SetEmitEncoded:
+  // kRle columns leave as run-encoded ColumnVectors.
+  void SetEmitEncoded(bool v) { emit_encoded_ = v; }
 
   const BatchSchema& schema() const override { return schema_; }
   Status Open() override;
@@ -56,6 +61,10 @@ class RleIndexScanOperator : public Operator {
   std::vector<RowRange> ranges_;
   size_t range_idx_ = 0;
   int64_t offset_in_range_ = 0;
+  bool emit_encoded_ = false;
+  // Per-output-column resume cursors: kDelta decodes stay incremental
+  // across pieces that follow each other.
+  std::vector<Column::DecodeCursor> delta_cursors_;
   BatchSchema schema_;
   ExecStats* stats_;
 };

@@ -94,7 +94,8 @@ struct LogicalOp {
   int rle_column = -1;        // table column index the runs belong to
   ExprPtr run_predicate;      // bound against a 1-column schema of it
   // Encoding-aware execution (DESIGN.md §11), set by DecideEncodedExec:
-  // kScan emits kRle columns run-encoded instead of flattening them.
+  // kScan / kRleIndexScan emit kRle columns run-encoded instead of
+  // flattening them.
   bool emit_encoded = false;
 
   // --- kSelect ---
@@ -127,10 +128,11 @@ struct LogicalOp {
   // Parallelism of the kFinal partitioned merge (set by the parallelizer
   // alongside the local/global split; 1 = serial merge above the Exchange).
   int merge_dop = 1;
-  // Dense token-indexed grouping (DESIGN.md §11), set by DecideEncodedExec.
+  // Dense array-indexed grouping (DESIGN.md §11), set by DecideEncodedExec.
   bool use_encoded_agg = false;
   std::vector<int> encoded_key_columns;    // child column index per key
-  std::vector<int64_t> encoded_key_cards;  // dictionary size per key
+  std::vector<int64_t> encoded_key_cards;  // distinct digits per key
+  std::vector<int64_t> encoded_key_mins;   // value of digit 1 per key
   int64_t encoded_cells = 1;               // prod(card + 1)
 
   // --- kOrder / kTopN ---

@@ -583,37 +583,47 @@ StatusOr<bool> TryRleRewrite(LogicalOpPtr* node,
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(select->predicate, &conjuncts);
 
-  // Find an RLE-encoded scanned column such that at least one conjunct
-  // references only that column.
-  int chosen_output_col = -1;
-  std::vector<ExprPtr> run_conjuncts, rest;
-  for (const ExprPtr& c : conjuncts) {
+  // Among the RLE-encoded scanned columns that some conjunct references
+  // alone, pick the one with the fewest runs: its IndexTable is the
+  // smallest and its surviving ranges the longest.
+  auto single_column = [](const ExprPtr& c) {
     std::vector<int> refs;
     c->CollectColumnIndices(&refs);
     bool single = !refs.empty() &&
                   std::all_of(refs.begin(), refs.end(),
                               [&](int r) { return r == refs[0]; });
-    if (single && chosen_output_col < 0) {
-      int table_col = scan->scan_columns[refs[0]];
-      const Column& col = *scan->table->column(table_col);
-      if (col.is_rle()) {
-        bool apply = false;
-        switch (options.rle_index) {
-          case OptimizerOptions::RleIndexMode::kOff:
-            break;
-          case OptimizerOptions::RleIndexMode::kForce:
-            apply = true;
-            break;
-          case OptimizerOptions::RleIndexMode::kAuto:
-            apply = static_cast<int64_t>(col.rle_runs().size()) *
-                        options.rle_auto_run_factor <=
-                    col.size();
-            break;
-        }
-        if (apply) chosen_output_col = refs[0];
-      }
+    return single ? refs[0] : -1;
+  };
+  int chosen_output_col = -1;
+  size_t chosen_runs = 0;
+  for (const ExprPtr& c : conjuncts) {
+    int out_col = single_column(c);
+    if (out_col < 0) continue;
+    const Column& col = *scan->table->column(scan->scan_columns[out_col]);
+    if (!col.is_rle()) continue;
+    const size_t runs = col.rle_runs().size();
+    bool apply = false;
+    switch (options.rle_index) {
+      case OptimizerOptions::RleIndexMode::kOff:
+        break;
+      case OptimizerOptions::RleIndexMode::kForce:
+        apply = true;
+        break;
+      case OptimizerOptions::RleIndexMode::kAuto:
+        apply = static_cast<int64_t>(runs) * options.rle_auto_run_factor <=
+                col.size();
+        break;
     }
-    if (chosen_output_col >= 0 && single && refs[0] == chosen_output_col) {
+    if (apply && (chosen_output_col < 0 || runs < chosen_runs)) {
+      chosen_output_col = out_col;
+      chosen_runs = runs;
+    }
+  }
+  if (chosen_output_col < 0) return false;
+
+  std::vector<ExprPtr> run_conjuncts, rest;
+  for (const ExprPtr& c : conjuncts) {
+    if (single_column(c) == chosen_output_col) {
       // Remap to a single-column schema (index 0).
       std::vector<int> mapping(scan->output.size(), -1);
       mapping[chosen_output_col] = 0;
@@ -622,7 +632,6 @@ StatusOr<bool> TryRleRewrite(LogicalOpPtr* node,
       rest.push_back(c);
     }
   }
-  if (chosen_output_col < 0 || run_conjuncts.empty()) return false;
 
   auto rle = std::make_shared<LogicalOp>();
   rle->kind = LogicalKind::kRleIndexScan;
@@ -652,39 +661,208 @@ Status RleNode(LogicalOpPtr* node, const OptimizerOptions& options) {
   return OkStatus();
 }
 
+// --- partial aggregation below an inner join (DESIGN.md §11) ---
+
+// Aggregate(G, A) over InnerJoin(L, R) becomes
+//   Aggregate[final](G, A) over Project(G, states) over
+//     InnerJoin(Aggregate(G_L + join keys, partial A) over L, R)
+// when every aggregate splits into partial and final steps
+// (IsReaggregable), reads only L's columns, and every group key reads one
+// side only. The partial emits PartialStateColumns' layout (AVG as SUM and
+// COUNT) and the final combines it, as in a local/global split. A partial
+// row stands for the fact rows of its group, which share the join key, so
+// it matches (or, for a NULL key, misses) exactly the dimension rows they
+// did: duplicate dimension keys repeat it once per match, as they repeated
+// each row. Applied when the partial shrinks its input: the estimated
+// group count is at most half of L's scanned table.
+StatusOr<bool> TryPushPartialAgg(LogicalOpPtr* node) {
+  LogicalOpPtr agg = *node;
+  if (agg->kind != LogicalKind::kAggregate ||
+      agg->agg_phase != AggPhase::kComplete) {
+    return false;
+  }
+  LogicalOpPtr join = agg->children[0];
+  if (join->kind != LogicalKind::kJoin ||
+      join->join_type != JoinType::kInner || join->join_keys.empty()) {
+    return false;
+  }
+  const int nleft = static_cast<int>(join->children[0]->output.size());
+  // 0: reads only left columns; 1: only right; -1: both or none.
+  auto side_of = [nleft](const ExprPtr& e) {
+    std::vector<int> refs;
+    e->CollectColumnIndices(&refs);
+    if (refs.empty()) return -1;
+    bool left = std::all_of(refs.begin(), refs.end(),
+                            [nleft](int r) { return r < nleft; });
+    bool right = std::all_of(refs.begin(), refs.end(),
+                             [nleft](int r) { return r >= nleft; });
+    return left ? 0 : (right ? 1 : -1);
+  };
+  for (const LogicalAgg& a : agg->aggregates) {
+    if (!IsReaggregable(a.func)) return false;
+    if (a.arg != nullptr && side_of(a.arg) != 0) return false;
+  }
+  std::vector<int> sides;
+  for (const NamedExpr& g : agg->group_by) {
+    sides.push_back(side_of(g.expr));
+    if (sides.back() < 0) return false;
+  }
+
+  auto partial = std::make_shared<LogicalOp>();
+  partial->kind = LogicalKind::kAggregate;
+  partial->bound = true;
+  partial->children = {join->children[0]};
+  std::vector<int> partial_slot(agg->group_by.size(), -1);
+  for (size_t k = 0; k < agg->group_by.size(); ++k) {
+    if (sides[k] != 0) continue;
+    partial_slot[k] = static_cast<int>(partial->group_by.size());
+    partial->group_by.push_back(agg->group_by[k]);
+  }
+  const int first_key = static_cast<int>(partial->group_by.size());
+  for (size_t i = 0; i < join->join_keys.size(); ++i) {
+    partial->group_by.push_back(
+        NamedExpr{"$key" + std::to_string(i), join->join_keys[i].first});
+  }
+  for (const LogicalAgg& a : agg->aggregates) {
+    if (a.func == AggFunc::kAvg) {
+      partial->aggregates.push_back({AggFunc::kSum, a.arg, a.name + "$sum"});
+      partial->aggregates.push_back({AggFunc::kCount, a.arg, a.name + "$cnt"});
+    } else {
+      partial->aggregates.push_back({a.func, a.arg, a.name});
+    }
+  }
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(partial.get()));
+
+  // Cost gate from column stats: the product of the partial's key
+  // cardinalities against the scanned row count.
+  std::vector<int> table_cols;
+  const LogicalOp* scan = TraceGroupColumnsToScan(*partial, &table_cols);
+  if (scan == nullptr) return false;
+  const int64_t rows = scan->table->num_rows();
+  int64_t groups = 1;
+  for (int c : table_cols) {
+    int64_t d = std::max<int64_t>(
+        1, scan->table->column(c)->stats().distinct_estimate);
+    if (d > rows / std::max<int64_t>(1, 2 * groups)) return false;
+    groups *= d;
+  }
+  if (2 * groups > rows) return false;
+
+  const int pwidth = static_cast<int>(partial->output.size());
+  auto new_join = std::make_shared<LogicalOp>(*join);
+  new_join->children = {partial, join->children[1]};
+  for (size_t i = 0; i < join->join_keys.size(); ++i) {
+    const int col = first_key + static_cast<int>(i);
+    new_join->join_keys[i].first = ColIdx(col, partial->output[col].type);
+  }
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(new_join.get()));
+
+  // Project the final's input into kFinal's layout: group columns, then
+  // the partial states in aggregate order.
+  std::vector<int> right_mapping(join->output.size(), -1);
+  for (size_t i = nleft; i < join->output.size(); ++i) {
+    right_mapping[i] = pwidth + static_cast<int>(i) - nleft;
+  }
+  auto project = std::make_shared<LogicalOp>();
+  project->kind = LogicalKind::kProject;
+  project->bound = true;
+  project->children = {new_join};
+  for (size_t k = 0; k < agg->group_by.size(); ++k) {
+    const NamedExpr& g = agg->group_by[k];
+    if (sides[k] == 0) {
+      const int slot = partial_slot[k];
+      project->projections.push_back(
+          {g.name, ColIdx(slot, partial->output[slot].type)});
+    } else {
+      project->projections.push_back(
+          {g.name, RemapColumns(g.expr, right_mapping)});
+    }
+  }
+  for (int c = first_key + static_cast<int>(join->join_keys.size());
+       c < pwidth; ++c) {
+    project->projections.push_back(
+        {partial->output[c].name, ColIdx(c, partial->output[c].type)});
+  }
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(project.get()));
+
+  for (size_t k = 0; k < agg->group_by.size(); ++k) {
+    agg->group_by[k].expr =
+        ColIdx(static_cast<int>(k), project->output[k].type);
+  }
+  int col = static_cast<int>(agg->group_by.size());
+  for (LogicalAgg& a : agg->aggregates) {
+    a.arg = ColIdx(col, project->output[col].type);
+    col += a.func == AggFunc::kAvg ? 2 : 1;
+  }
+  agg->agg_phase = AggPhase::kFinal;
+  agg->prefer_streaming = false;
+  agg->children = {project};
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(agg.get()));
+  return true;
+}
+
+Status PartialAggNode(LogicalOpPtr* node) {
+  VIZQ_RETURN_IF_ERROR(TryPushPartialAgg(node).status());
+  for (LogicalOpPtr& c : (*node)->children) {
+    VIZQ_RETURN_IF_ERROR(PartialAggNode(&c));
+  }
+  return OkStatus();
+}
+
 // --- encoding-aware execution (DESIGN.md §11) ---
 
-// The pattern DecideEncodedExec looks for: Aggregate → [Select]* → Scan
-// where every group key is a bare reference to a dictionary-string column.
-// `candidate` means the pattern matched; `viable` means all gates passed
-// too (key-space cap, argument and conjunct encodings).
+// The pattern DecideEncodedExec looks for: Aggregate → [Select]* → Scan or
+// RleIndexScan where every group key (there may be none) is a bare
+// reference to a
+// dictionary-string column or to a fixed-width (int64 / date / bool)
+// column with min/max stats. `candidate` means the pattern matched;
+// `viable` means all gates passed too (key-space cap, argument and
+// conjunct encodings).
 struct EncodedCandidate {
   bool candidate = false;
   bool viable = false;
-  LogicalOp* scan = nullptr;
+  LogicalOp* scan = nullptr;        // kScan or kRleIndexScan
   std::vector<LogicalOp*> selects;  // outermost first
   std::vector<int> key_columns;     // child-schema index per group key
-  std::vector<int64_t> key_cards;   // dictionary size per group key
+  std::vector<int64_t> key_cards;   // distinct digits per group key
+  std::vector<int64_t> key_mins;    // value of digit 1 (0 for tokens)
   int64_t cells = 1;                // prod(card + 1)
-  bool all_keys_rle = false;        // every key column is storage-RLE
   // Classified conjuncts, parallel to `selects`.
   std::vector<std::vector<EncodedConjunct>> conjuncts;
 };
+
+// The dense key range of a fixed-width column: its stats' [min, max].
+// Returns false when the column has no usable stats or the range
+// overflows int64.
+bool IntKeyRange(const Column& col, int64_t* min, int64_t* card) {
+  const ColumnStats& st = col.stats();
+  if (!st.has_min_max || !st.min.is_int() || !st.max.is_int()) return false;
+  int64_t span = 0;
+  if (__builtin_sub_overflow(st.max.int_value(), st.min.int_value(), &span) ||
+      span < 0 || span == INT64_MAX) {
+    return false;
+  }
+  *min = st.min.int_value();
+  *card = span + 1;
+  return true;
+}
 
 EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
                                          const OptimizerOptions& options) {
   EncodedCandidate cand;
   if (op->kind != LogicalKind::kAggregate ||
-      op->agg_phase == AggPhase::kFinal || op->group_by.empty()) {
+      op->agg_phase == AggPhase::kFinal) {
     return cand;
   }
-  // Walk the child chain: Selects over a plain table scan.
+  // Walk the child chain: Selects over a plain or range-skipping scan.
   LogicalOp* cur = op->children.empty() ? nullptr : op->children[0].get();
   while (cur != nullptr && cur->kind == LogicalKind::kSelect) {
     cand.selects.push_back(cur);
     cur = cur->children.empty() ? nullptr : cur->children[0].get();
   }
-  if (cur == nullptr || cur->kind != LogicalKind::kScan ||
+  if (cur == nullptr ||
+      (cur->kind != LogicalKind::kScan &&
+       cur->kind != LogicalKind::kRleIndexScan) ||
       cur->table == nullptr) {
     return cand;
   }
@@ -697,24 +875,37 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     return table.column(cur->scan_columns[child_col]).get();
   };
 
-  // Every group key must be a bare reference to a dict-string column.
-  cand.all_keys_rle = true;
+  // Every group key must be a bare reference to a dict-string column (one
+  // digit per token) or a fixed-width column (one digit per value in its
+  // stats range).
   for (const NamedExpr& g : op->group_by) {
     if (g.expr->kind != ExprKind::kColumnRef || g.expr->column_index < 0) {
       return cand;
     }
     const Column* col = table_column(g.expr->column_index);
-    if (col == nullptr || !col->is_dictionary_string()) return cand;
+    if (col == nullptr) return cand;
+    int64_t min = 0;
+    int64_t card = 0;
+    if (col->is_dictionary_string()) {
+      card = col->dictionary()->size();
+    } else {
+      const TypeKind kind = col->type().kind;
+      if ((kind != TypeKind::kInt64 && kind != TypeKind::kDate &&
+           kind != TypeKind::kBool) ||
+          !IntKeyRange(*col, &min, &card)) {
+        return cand;
+      }
+    }
     cand.key_columns.push_back(g.expr->column_index);
-    cand.key_cards.push_back(col->dictionary()->size());
-    if (!col->is_rle()) cand.all_keys_rle = false;
+    cand.key_cards.push_back(card);
+    cand.key_mins.push_back(min);
   }
   cand.candidate = true;
 
   // Gate 1: the dense cell space must fit under the cap (overflow-safe).
   int64_t cap = options.encoded_group_cells_max;
   for (int64_t card : cand.key_cards) {
-    if (card + 1 > cap / cand.cells) return cand;  // fallback
+    if (card >= cap || card + 1 > cap / cand.cells) return cand;  // fallback
     cand.cells *= card + 1;
   }
 
@@ -783,19 +974,23 @@ void DecideEncodedNode(const LogicalOpPtr& node,
                        EncodedExecDecision* out) {
   LogicalOp* op = node.get();
   // Streaming aggregation keeps precedence where it actually executes
-  // (complete-phase, sorted input): it pipelines and never materializes a
-  // table. Partial-phase nodes in parallel plans never run streaming, so
-  // the dense path may claim them even if prefer_streaming survived the
-  // phase split.
-  bool claimed_by_streaming =
-      op->prefer_streaming && op->agg_phase == AggPhase::kComplete;
+  // (complete-phase, sorted input, group keys): it pipelines and never
+  // materializes a table. Partial-phase nodes in parallel plans never run
+  // streaming, so the dense path may claim them even if prefer_streaming
+  // survived the phase split; a scalar aggregate's one dense cell is no
+  // table either, and dense counts a whole segment per step.
+  bool claimed_by_streaming = op->prefer_streaming &&
+                              op->agg_phase == AggPhase::kComplete &&
+                              !op->group_by.empty();
   if (op->kind == LogicalKind::kAggregate && !claimed_by_streaming) {
     EncodedCandidate cand = AnalyzeEncodedCandidate(op, options);
     if (cand.candidate) {
       if (cand.viable) {
         op->use_encoded_agg = true;
+        op->prefer_streaming = false;
         op->encoded_key_columns = cand.key_columns;
         op->encoded_key_cards = cand.key_cards;
+        op->encoded_key_mins = cand.key_mins;
         op->encoded_cells = cand.cells;
         cand.scan->emit_encoded = true;
         for (size_t i = 0; i < cand.selects.size(); ++i) {
@@ -870,6 +1065,10 @@ Status RleIndexPass(LogicalOpPtr* root, const OptimizerOptions& options) {
 
 Status StreamingAggPass(LogicalOpPtr* root) { return StreamingNode(root); }
 
+Status PartialAggPushdownPass(LogicalOpPtr* root) {
+  return PartialAggNode(root);
+}
+
 EncodedExecDecision DecideEncodedExec(const LogicalOpPtr& root,
                                       const OptimizerOptions& options) {
   EncodedExecDecision decision;
@@ -902,6 +1101,9 @@ Status OptimizePlan(LogicalOpPtr* root, const OptimizerOptions& options) {
   if (options.enable_streaming_agg) {
     VIZQ_RETURN_IF_ERROR(StreamingAggPass(root));
   }
+  // After streaming selection: a partial below a join is left to the dense
+  // path (DecideEncodedExec), which folds whole runs of its sorted keys.
+  VIZQ_RETURN_IF_ERROR(PartialAggPushdownPass(root));
   if (options.enable_order_removal) {
     VIZQ_RETURN_IF_ERROR(OrderRemovalPass(root));
   }

@@ -2,8 +2,8 @@
 // removal of unnecessary joins (join culling, including fact-table culling
 // for domain queries), removal of unnecessary orderings, constant folding
 // and predicate simplification, column pruning, streaming-aggregate
-// selection via derived sorting properties, and the RLE IndexTable
-// range-skipping rewrite (§4.3).
+// selection via derived sorting properties, partial aggregation below
+// inner joins, and the RLE IndexTable range-skipping rewrite (§4.3).
 
 #ifndef VIZQUERY_TDE_PLAN_OPTIMIZER_H_
 #define VIZQUERY_TDE_PLAN_OPTIMIZER_H_
@@ -30,9 +30,10 @@ struct OptimizerOptions {
 
   // Encoding-aware execution (DESIGN.md §11): run the Scan→Filter→Aggregate
   // hot path on compressed columns (run-encoded batches, per-token /
-  // per-run filters, dense token-indexed grouping). The dense accumulator
-  // is bounded by encoded_group_cells_max cells (product of key
-  // cardinalities + 1); larger key spaces fall back to the hash path.
+  // per-run filters, dense array-indexed grouping over dictionary tokens
+  // and small-range fixed-width keys). The dense accumulator is bounded by
+  // encoded_group_cells_max cells (product of key cardinalities + 1);
+  // larger key spaces fall back to the hash path.
   bool enable_encoded_exec = true;
   int64_t encoded_group_cells_max = 1 << 16;
 };
@@ -43,11 +44,12 @@ struct EncodedExecDecision {
   int fallbacks = 0;  // candidate pipelines that failed a gate
 };
 
-// Decides, per Scan→[Select]→Aggregate pipeline of the (parallelized) plan,
-// whether the encoded path applies, annotating the nodes in place
-// (emit_encoded / encoded_filter / use_encoded_agg). Idempotent; walks
-// through Exchange into each fragment. The row path stays the correctness
-// baseline for everything not annotated.
+// Decides, per Scan→[Select]→Aggregate or RleIndexScan→[Select]→Aggregate
+// pipeline of the (parallelized) plan, whether the encoded path applies,
+// annotating the nodes in place (emit_encoded / encoded_filter /
+// use_encoded_agg). Idempotent; walks through Exchange into each fragment.
+// The row path stays the correctness baseline for everything not
+// annotated.
 EncodedExecDecision DecideEncodedExec(const LogicalOpPtr& root,
                                       const OptimizerOptions& options);
 
@@ -59,6 +61,7 @@ Status FoldConstantsPass(LogicalOpPtr* root);
 Status SelectPushdownPass(LogicalOpPtr* root);
 Status ColumnPruningPass(LogicalOpPtr* root, bool enable_join_culling);
 Status RleIndexPass(LogicalOpPtr* root, const OptimizerOptions& options);
+Status PartialAggPushdownPass(LogicalOpPtr* root);
 Status StreamingAggPass(LogicalOpPtr* root);
 Status OrderRemovalPass(LogicalOpPtr* root);
 

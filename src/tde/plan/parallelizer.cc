@@ -74,12 +74,22 @@ StatusOr<int> ParAggregate(LogicalOpPtr* node, Ctx& ctx) {
   VIZQ_ASSIGN_OR_RETURN(int child_dop, Par(&op->children[0], ctx));
   if (child_dop <= 1) return 1;
 
+  // A final step the optimizer already split off (partial aggregation
+  // below a join) combines partial states; it is never split again.
+  if (op->agg_phase == AggPhase::kFinal) {
+    op->children[0] = MakeExchange(child_dop, op->children[0]);
+    return 1;
+  }
+
   // --- §4.2.3: remove the global aggregate via range partitioning ---
   if (ctx.opts.enable_range_partition && !op->group_by.empty()) {
     std::vector<int> scan_cols;
     LogicalOp* scan = TraceGroupColumnsToScan(*op, &scan_cols);
     int prefix_len = 0;
-    if (scan != nullptr && scan->scan_dop > 1 &&
+    // Range-skipping scans split their surviving ranges by row count, not
+    // on group boundaries.
+    if (scan != nullptr && scan->kind == LogicalKind::kScan &&
+        scan->scan_dop > 1 &&
         scan->table->SubsetMatchesSortPrefix(scan_cols, &prefix_len)) {
       // Conservative application: skip when the partition key has very low
       // cardinality (e.g. partitioning on gender) — the fractions would be

@@ -184,6 +184,7 @@ namespace {
 LogicalOp* TraceColumnToScan(const LogicalOp& op, int idx, int* table_col) {
   switch (op.kind) {
     case LogicalKind::kScan:
+    case LogicalKind::kRleIndexScan:
       if (idx < 0 || idx >= static_cast<int>(op.scan_columns.size())) {
         return nullptr;
       }

@@ -118,8 +118,10 @@ StatusOr<OperatorPtr> Translator::TranslateRleScan(const LogicalOp& op,
                 return a.start < b.start;
               });
   }
-  return OperatorPtr(std::make_unique<RleIndexScanOperator>(
-      op.table, op.scan_columns, std::move(ranges), stats_));
+  auto scan = std::make_unique<RleIndexScanOperator>(
+      op.table, op.scan_columns, std::move(ranges), stats_);
+  scan->SetEmitEncoded(op.emit_encoded);
+  return OperatorPtr(std::move(scan));
 }
 
 StatusOr<OperatorPtr> Translator::TranslateExchange(const LogicalOp& op) {
@@ -269,6 +271,7 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
         config.enabled = true;
         config.key_columns = op.encoded_key_columns;
         config.key_cards = op.encoded_key_cards;
+        config.key_mins = op.encoded_key_mins;
         config.total_cells = op.encoded_cells;
         agg->EnableDenseGroups(std::move(config), stats_);
         if (stats_ != nullptr) stats_->used_encoded_path = true;

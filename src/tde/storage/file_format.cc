@@ -1,5 +1,6 @@
 #include "src/tde/storage/file_format.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "src/common/binary_io.h"
@@ -131,7 +132,100 @@ class ColumnSerializer {
       }
       col->dictionary_ = std::move(dict);
     }
+    VIZQ_RETURN_IF_ERROR(Validate(*col));
     return col;
+  }
+
+ private:
+  // Checks that the decoded payload is the column its header declares, so
+  // scans and the dense aggregate (which indexes arrays by token and by
+  // value - min) never read outside it: payload lengths match the size,
+  // tokens lie below the dictionary size, runs tile [0, size) and every
+  // non-null value lies in the stats' [min, max].
+  static Status Validate(const Column& col) {
+    const int64_t n = col.size_;
+    if (n < 0) return DataLoss("negative column size");
+    auto sized = [n](size_t len) { return static_cast<int64_t>(len) == n; };
+    if (!col.nulls_.empty() && !sized(col.nulls_.size())) {
+      return DataLoss("null mask length disagrees with column size");
+    }
+    const TypeKind kind = col.type_.kind;
+    const bool is_string = kind == TypeKind::kString;
+    const bool has_dict = col.dictionary_ != nullptr;
+    if (has_dict != (is_string && col.encoding_ != Encoding::kPlain)) {
+      return DataLoss("dictionary presence disagrees with column encoding");
+    }
+    const int64_t dict_size = has_dict ? col.dictionary_->size() : 0;
+    auto bad_token = [&](int64_t t) {
+      return has_dict && (t < 0 || t >= dict_size);
+    };
+    // Non-null int payload values, for the stats range check below.
+    std::vector<int64_t> values;
+    auto keep = [&](int64_t row, int64_t v) {
+      if (!col.IsNull(row)) values.push_back(v);
+    };
+    switch (col.encoding_) {
+      case Encoding::kPlain:
+        if (kind == TypeKind::kFloat64 ? !sized(col.doubles_.size())
+            : is_string               ? !sized(col.strings_.size())
+                                      : !sized(col.ints_.size())) {
+          return DataLoss("plain payload length disagrees with column size");
+        }
+        if (kind != TypeKind::kFloat64 && !is_string) {
+          for (int64_t i = 0; i < n; ++i) keep(i, col.ints_[i]);
+        }
+        break;
+      case Encoding::kDictionary:
+        if (!is_string || !sized(col.ints_.size())) {
+          return DataLoss("dictionary payload disagrees with column");
+        }
+        for (int64_t t : col.ints_) {
+          if (bad_token(t)) return DataLoss("dictionary token out of range");
+        }
+        break;
+      case Encoding::kRle: {
+        int64_t next = 0;
+        for (const RleRun& run : col.runs_) {
+          if (run.start != next || run.count <= 0 || run.count > n - next) {
+            return DataLoss("runs do not tile the column");
+          }
+          if (bad_token(run.value)) return DataLoss("run token out of range");
+          if (kind != TypeKind::kFloat64 && !is_string) {
+            keep(run.start, run.value);
+          }
+          next += run.count;
+        }
+        if (next != n) return DataLoss("runs do not tile the column");
+        break;
+      }
+      case Encoding::kDelta: {
+        if (is_string || kind == TypeKind::kFloat64 ||
+            static_cast<int64_t>(col.deltas_.size()) != std::max<int64_t>(0, n - 1)) {
+          return DataLoss("delta payload disagrees with column");
+        }
+        int64_t v = col.delta_base_;
+        for (int64_t i = 0; i < n; ++i) {
+          keep(i, v);
+          if (i + 1 < n && __builtin_add_overflow(v, col.deltas_[i], &v)) {
+            return DataLoss("delta payload overflows");
+          }
+        }
+        break;
+      }
+    }
+    if (col.stats_.has_min_max && !values.empty()) {
+      const Value& lo = col.stats_.min;
+      const Value& hi = col.stats_.max;
+      if (!lo.is_int() || !hi.is_int() || lo.int_value() > hi.int_value()) {
+        return DataLoss("column stats are not an int range");
+      }
+      for (int64_t v : values) {
+        if (v < lo.int_value() || v > hi.int_value()) {
+          return DataLoss("column value outside its stats range");
+        }
+      }
+    }
+    return OkStatus();
   }
 };
 
@@ -189,7 +283,9 @@ StatusOr<std::shared_ptr<Database>> DatabaseSerializer::Unpack(
       if (!r.Str(&tname)) return DataLoss("truncated table name");
       auto table = std::make_shared<Table>();
       table->name_ = tname;
-      if (!r.I64(&table->num_rows_)) return DataLoss("truncated rows");
+      if (!r.I64(&table->num_rows_) || table->num_rows_ < 0) {
+        return DataLoss("bad row count");
+      }
       uint32_t ncols;
       if (!r.Count(&ncols, kMinColumnBytes)) {
         return DataLoss("bad column count");
@@ -199,6 +295,9 @@ StatusOr<std::shared_ptr<Database>> DatabaseSerializer::Unpack(
         if (!r.Str(&ci.name)) return DataLoss("truncated column name");
         VIZQ_ASSIGN_OR_RETURN(std::shared_ptr<Column> col,
                               ColumnSerializer::Unpack(&r));
+        if (col->size() != table->num_rows_) {
+          return DataLoss("column size disagrees with table rows");
+        }
         ci.type = col->type();
         table->schema_.push_back(std::move(ci));
         table->columns_.push_back(std::move(col));
@@ -208,6 +307,7 @@ StatusOr<std::shared_ptr<Database>> DatabaseSerializer::Unpack(
       for (uint32_t i = 0; i < nsort; ++i) {
         uint32_t sc;
         if (!r.U32(&sc)) return DataLoss("truncated sort metadata");
+        if (sc >= ncols) return DataLoss("sort column out of range");
         table->sort_columns_.push_back(static_cast<int>(sc));
       }
       tables.emplace(tname, std::move(table));

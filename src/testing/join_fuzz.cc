@@ -49,8 +49,10 @@ JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng) {
   query::QueryBuilder qb(kFuzzDataSource, ds.table + "*" + ds.dim_table);
 
   // 0–2 distinct group-by columns; "k" groups by the join key itself,
-  // which is NULL for unmatched left-outer rows.
-  std::vector<std::string> dim_pool = {"d0", "d1", "d2", "k"};
+  // which is NULL for unmatched left-outer rows, and "p" by a dimension
+  // payload (the star-schema shape whose inner joins the optimizer
+  // aggregates below the join).
+  std::vector<std::string> dim_pool = {"d0", "d1", "d2", "k", "p"};
   int num_dims = static_cast<int>(rng.Below(3));
   for (int i = 0; i < num_dims && !dim_pool.empty(); ++i) {
     size_t pick = rng.Below(dim_pool.size());

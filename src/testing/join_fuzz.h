@@ -42,7 +42,7 @@ struct JoinFuzzCase {
   std::string Describe() const;
 };
 
-// Deterministic in `rng`: group-by over 0–2 of {d0, d1, d2, k} with 1–2
+// Deterministic in `rng`: group-by over 0–2 of {d0, d1, d2, k, p} with 1–2
 // aggregates over {m0, m1, p} (SUM/MIN/MAX/COUNT/AVG/COUNTD) and an
 // occasional COUNT(*).
 JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng);

@@ -12,6 +12,8 @@
 #include "src/tde/exec/scan.h"
 #include "src/tde/storage/database.h"
 #include "src/tde/storage/table.h"
+#include "src/testing/join_fuzz.h"
+#include "src/testing/table_diff.h"
 #include "tests/test_util.h"
 
 namespace vizq::tde {
@@ -239,6 +241,264 @@ TEST(EncodedExecTest, DeltaColumnBeyondInt32SumsExactly) {
   // sum(3e9 + 3i) for i in [0,3000)
   int64_t expect = 3000000000LL * 3000 + 3 * (2999LL * 3000 / 2);
   EXPECT_EQ(on->table.at(0, 0).int_value(), expect);
+}
+
+// --- dense keys over small-range fixed-width columns ---
+
+// Int keys cycle (unsorted, so streaming aggregation never claims them):
+//   w   int64 in [-3, 3], NULL every 10th row: 7 digits, 8 cells
+//   w2  int64 in [-3, 4]: 8 digits, 9 cells
+//   b   bool, NULL every 7th row
+//   dt  date in [19000, 19004]
+//   v   int64 measure
+std::shared_ptr<Database> MakeIntKeyDb(int64_t rows) {
+  std::vector<ColumnInfo> schema = {
+      {"w", DataType::Int64()}, {"w2", DataType::Int64()},
+      {"b", DataType::Bool()},  {"dt", DataType::Date()},
+      {"v", DataType::Int64()},
+  };
+  TableBuilder builder("ik", schema);
+  for (int64_t i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    if (i % 10 == 9) {
+      row.push_back(Value::Null());
+    } else {
+      row.emplace_back(i % 7 - 3);
+    }
+    row.emplace_back(i % 8 - 3);
+    if (i % 7 == 6) {
+      row.push_back(Value::Null());
+    } else {
+      row.emplace_back(i % 3 == 0);
+    }
+    row.emplace_back(static_cast<int64_t>(19000 + i % 5));
+    row.emplace_back(i % 17);
+    (void)builder.AddRow(row);
+  }
+  auto db = std::make_shared<Database>("ikdb");
+  (void)db->AddTable(*builder.Finish());
+  return db;
+}
+
+TEST(EncodedExecTest, IntKeysWithNegativeMinAndNullsGroupDense) {
+  TdeEngine engine(MakeIntKeyDb(3000));
+  for (const std::string tql :
+       {"(aggregate ((w w)) ((n count*) (sv sum v) (av avg v)) (scan ik))",
+        "(aggregate ((w w) (b b)) ((n count*) (mv max v)) (scan ik))",
+        "(aggregate ((dt dt)) ((n count*)) (select (> v 3) (scan ik)))"}) {
+    QueryResult on = DiffEncodedVsRow(engine, tql);
+    ASSERT_NE(on.stats, nullptr);
+    EXPECT_EQ(on.stats->encoded_plans, 1) << tql;
+    EXPECT_NE(on.analysis->ToText().find("dense"), std::string::npos)
+        << on.analysis->ToText();
+  }
+  // The NULL key is its own group: 7 values + NULL.
+  auto on = engine.Execute("(aggregate ((w w)) ((n count*)) (scan ik))",
+                           EncodedOn());
+  ASSERT_TRUE(on.ok()) << on.status();
+  EXPECT_EQ(on->table.num_rows(), 8);
+}
+
+TEST(EncodedExecTest, IntKeyRangeAtTheCapStaysDenseAndPastItFallsBack) {
+  TdeEngine engine(MakeIntKeyDb(3000));
+  QueryOptions capped = EncodedOn();
+  capped.optimizer.encoded_group_cells_max = 8;
+  QueryOptions off = EncodedOff();
+
+  // w: 7 values + the NULL digit = 8 cells, exactly the cap.
+  const std::string at_cap = "(aggregate ((w w)) ((n count*)) (scan ik))";
+  auto dense = engine.Execute(at_cap, capped);
+  auto dense_ref = engine.Execute(at_cap, off);
+  ASSERT_TRUE(dense.ok() && dense_ref.ok());
+  EXPECT_EQ(dense->stats->encoded_plans, 1);
+  EXPECT_EQ(dense->stats->encoded_fallbacks, 0);
+  EXPECT_TRUE(TablesEquivalent(dense_ref->table, dense->table));
+
+  // w2: 8 values + NULL = 9 cells, one past the cap: hash path.
+  const std::string past_cap = "(aggregate ((w2 w2)) ((n count*)) (scan ik))";
+  auto hashed = engine.Execute(past_cap, capped);
+  auto hashed_ref = engine.Execute(past_cap, off);
+  ASSERT_TRUE(hashed.ok() && hashed_ref.ok());
+  EXPECT_EQ(hashed->stats->encoded_plans, 0);
+  EXPECT_EQ(hashed->stats->encoded_fallbacks, 1);
+  EXPECT_TRUE(TablesEquivalent(hashed_ref->table, hashed->table));
+}
+
+// --- range skipping feeding the dense path ---
+
+TEST(EncodedExecTest, RleIndexScanPacksRangesIntoFullEncodedBatches) {
+  // r: forced RLE with one-row runs, so `(< r 2)` survives as ~2000
+  // single-row ranges; the scan packs them into full batches.
+  std::vector<ColumnInfo> schema = {{"k", DataType::String()},
+                                    {"r", DataType::Int64()},
+                                    {"rr", DataType::Int64()},
+                                    {"v", DataType::Int64()}};
+  TableBuilder builder("t", schema);
+  builder.SetEncodingChoice(1, EncodingChoice::kForceRle);
+  builder.SetEncodingChoice(2, EncodingChoice::kForceRle);
+  const char* keys[] = {"k0", "k1", "k2", "k3", "k4", "k5", "k6"};
+  for (int64_t i = 0; i < 3000; ++i) {
+    (void)builder.AddRow(
+        {Value(keys[i % 7]), Value(i % 3), Value(i / 50), Value(i % 11)});
+  }
+  auto db = std::make_shared<Database>("packdb");
+  (void)db->AddTable(*builder.Finish());
+  TdeEngine engine(db);
+  const std::string tql =
+      "(aggregate ((k k)) ((n count*) (sv sum v) (sr sum rr)) "
+      "(select (< r 2) (scan t)))";
+  QueryOptions on_opts = EncodedOn();
+  on_opts.optimizer.rle_index = OptimizerOptions::RleIndexMode::kForce;
+  QueryOptions off_opts = EncodedOff();
+  off_opts.optimizer.rle_index = OptimizerOptions::RleIndexMode::kForce;
+  auto on = engine.Execute(tql, on_opts);
+  auto off = engine.Execute(tql, off_opts);
+  ASSERT_TRUE(on.ok()) << on.status();
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_TRUE(TablesEquivalent(off->table, on->table));
+  EXPECT_TRUE(on->stats->used_rle_index);
+  EXPECT_EQ(on->stats->encoded_plans, 1);
+  // rr stays run-encoded through the range scan.
+  EXPECT_GT(on->stats->encoded_rows_undecoded, 0);
+  const std::string text = on->analysis->ToText();
+  EXPECT_NE(text.find("RleIndexScan"), std::string::npos) << text;
+  EXPECT_NE(text.find("dense"), std::string::npos) << text;
+  const int64_t rows = on->stats->rows_scanned;
+  EXPECT_EQ(rows, 2000);
+  EXPECT_LE(on->stats->batches, (rows + kBatchRows - 1) / kBatchRows + 1);
+}
+
+// --- partial aggregation below the star join ---
+
+// A fact table joined on d0 = k with NULL join keys on both sides, a
+// duplicated dimension key, a dimension-only key, and NULL arguments.
+vizq::testing::Dataset MakeJoinDataset() {
+  vizq::testing::Dataset ds;
+  ds.db = std::make_shared<Database>("joindb");
+  ds.rows = 600;
+  TableBuilder fact(ds.table, {{"d0", DataType::String()},
+                               {"d1", DataType::Int64()},
+                               {"m0", DataType::Int64()},
+                               {"m1", DataType::Float64()}});
+  const char* keys[] = {"a0", "a1", "a2", "a3", "a4", "a5"};
+  for (int64_t i = 0; i < ds.rows; ++i) {
+    Value key = i % 9 == 8 ? Value::Null() : Value(keys[i % 6]);
+    Value m0 = i % 5 == 0 ? Value::Null() : Value(i % 13 - 6);
+    (void)fact.AddRow({key, Value(i % 3), m0, Value((i % 10) * 0.25)});
+  }
+  (void)ds.db->AddTable(*fact.Finish());
+  TableBuilder dim(ds.dim_table,
+                   {{"k", DataType::String()}, {"p", DataType::Int64()}});
+  for (int64_t i = 0; i < 5; ++i) {  // a5 has no dimension row
+    (void)dim.AddRow({Value(keys[i]), Value(i * 10)});
+  }
+  (void)dim.AddRow({Value("a1"), Value(int64_t{99})});  // duplicate key
+  (void)dim.AddRow({Value::Null(), Value(int64_t{7})});  // never matches
+  (void)dim.AddRow({Value("zz"), Value(int64_t{5})});    // dimension only
+  ds.dim_rows = 8;
+  (void)ds.db->AddTable(*dim.Finish());
+  return ds;
+}
+
+// True when the compiled plan aggregates below its join.
+bool AggregatesBelowJoin(const LogicalOp& op) {
+  if (op.kind == LogicalKind::kJoin) {
+    const LogicalOp* left = op.children[0].get();
+    while (left->kind == LogicalKind::kExchange) left = left->children[0].get();
+    return left->kind == LogicalKind::kAggregate;
+  }
+  for (const LogicalOpPtr& c : op.children) {
+    if (AggregatesBelowJoin(*c)) return true;
+  }
+  return false;
+}
+
+// Runs `jc` serially and forced-parallel, diffing both against the
+// nested-loop reference oracle; returns whether the serial plan
+// aggregated below the join.
+bool RunJoinCaseAgainstOracle(const vizq::testing::Dataset& ds,
+                              const vizq::testing::JoinFuzzCase& jc) {
+  auto oracle = vizq::testing::OracleJoinExecute(ds, jc);
+  EXPECT_TRUE(oracle.ok()) << oracle.status();
+  if (!oracle.ok()) return false;
+  LogicalOpPtr plan = vizq::testing::BuildJoinPlan(ds, jc);
+  TdeEngine engine(ds.db);
+  QueryOptions parallel;
+  parallel.parallel.max_dop = 3;
+  parallel.parallel.min_rows_per_fraction = 1;
+  parallel.parallel.parallel_merge_min_rows = 1;
+  for (const QueryOptions& options : {QueryOptions::Serial(), parallel}) {
+    auto result = engine.Execute(plan, options);
+    EXPECT_TRUE(result.ok()) << result.status() << " " << jc.Describe();
+    if (!result.ok()) continue;
+    vizq::testing::DiffResult d =
+        vizq::testing::DiffTables(*oracle, result->table, {});
+    EXPECT_TRUE(d.equivalent) << d.message << " " << jc.Describe() << "\n"
+                              << result->plan_text;
+  }
+  auto compiled = engine.Compile(plan, QueryOptions::Serial());
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  return compiled.ok() && AggregatesBelowJoin(**compiled);
+}
+
+vizq::testing::JoinFuzzCase JoinCase(tde::JoinType type,
+                                     query::QueryBuilder qb) {
+  vizq::testing::JoinFuzzCase jc;
+  jc.join_type = type;
+  jc.agg = qb.Build();
+  return jc;
+}
+
+query::QueryBuilder JoinQuery(const vizq::testing::Dataset& ds) {
+  return query::QueryBuilder(vizq::testing::kFuzzDataSource,
+                             ds.table + "*" + ds.dim_table);
+}
+
+TEST(EncodedExecTest, PartialAggregateBelowJoinMatchesOracle) {
+  const vizq::testing::Dataset ds = MakeJoinDataset();
+  const JoinType inner = JoinType::kInner;
+  std::vector<vizq::testing::JoinFuzzCase> pushed = {
+      // The airline_name shape: grouped by the dimension payload.
+      JoinCase(inner, JoinQuery(ds)
+                          .Dim("p")
+                          .CountAll()
+                          .Agg(AggFunc::kCount, "m0")
+                          .Agg(AggFunc::kSum, "m0")
+                          .Agg(AggFunc::kMin, "m0")
+                          .Agg(AggFunc::kMax, "m1")
+                          .Agg(AggFunc::kAvg, "m0")),
+      // Group keys from both sides, double SUM/AVG.
+      JoinCase(inner, JoinQuery(ds)
+                          .Dim("d1")
+                          .Dim("p")
+                          .Agg(AggFunc::kSum, "m1")
+                          .Agg(AggFunc::kAvg, "m1")),
+      // Grouped by the dimension's join key.
+      JoinCase(inner, JoinQuery(ds).Dim("k").Agg(AggFunc::kMax, "m0")),
+      // Scalar: one row even though the final sees only partials.
+      JoinCase(inner, JoinQuery(ds).CountAll().Agg(AggFunc::kAvg, "m0")),
+  };
+  for (const auto& jc : pushed) {
+    EXPECT_TRUE(RunJoinCaseAgainstOracle(ds, jc)) << jc.Describe();
+  }
+}
+
+TEST(EncodedExecTest, UnsplittableJoinAggregatesKeepTheirPlan) {
+  const vizq::testing::Dataset ds = MakeJoinDataset();
+  std::vector<vizq::testing::JoinFuzzCase> kept = {
+      // COUNT DISTINCT does not combine from partials.
+      JoinCase(JoinType::kInner,
+               JoinQuery(ds).Dim("p").Agg(AggFunc::kCountDistinct, "m0")),
+      // The argument lives on the dimension side.
+      JoinCase(JoinType::kInner,
+               JoinQuery(ds).Dim("d1").Agg(AggFunc::kSum, "p")),
+      // Left-outer: unmatched rows must still reach the aggregate.
+      JoinCase(JoinType::kLeftOuter,
+               JoinQuery(ds).Dim("p").CountAll().Agg(AggFunc::kSum, "m0")),
+  };
+  for (const auto& jc : kept) {
+    EXPECT_FALSE(RunJoinCaseAgainstOracle(ds, jc)) << jc.Describe();
+  }
 }
 
 // --- storage helpers ---

@@ -137,6 +137,35 @@ TEST_F(OptimizerTest, OrderUnderTopNRemoved) {
   EXPECT_EQ(plan->children[0]->kind, LogicalKind::kScan);
 }
 
+TEST(RleIndexRewriteTest, PicksTheEligibleColumnWithFewestRuns) {
+  // Both columns are RLE and pass the kAuto run-factor gate; `many` has
+  // 256 runs and is listed first, `few` has 4.
+  TableBuilder builder("t", {{"many", DataType::Int64()},
+                             {"few", DataType::Int64()},
+                             {"v", DataType::Int64()}});
+  builder.SetEncodingChoice(0, EncodingChoice::kForceRle);
+  builder.SetEncodingChoice(1, EncodingChoice::kForceRle);
+  for (int64_t i = 0; i < 4096; ++i) {
+    (void)builder.AddRow({Value((i / 16) % 4), Value(i / 1024), Value(i)});
+  }
+  auto table = *builder.Finish();
+  ASSERT_EQ(table->column(0)->rle_runs().size(), 256u);
+  ASSERT_EQ(table->column(1)->rle_runs().size(), 4u);
+  Database db("rledb");
+  ASSERT_TRUE(db.AddTable(table).ok());
+
+  auto plan = ParseTql("(select (and (= many 1) (= few 2)) (scan t))");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(BindPlan(*plan, db).ok());
+  OptimizerOptions options;
+  ASSERT_TRUE(RleIndexPass(&*plan, options).ok());
+  // Select(many) over RleIndexScan(runs of few).
+  ASSERT_EQ((*plan)->kind, LogicalKind::kSelect);
+  const LogicalOp& rle = *(*plan)->children[0];
+  ASSERT_EQ(rle.kind, LogicalKind::kRleIndexScan);
+  EXPECT_EQ(rle.rle_column, 1);
+}
+
 TEST_F(OptimizerTest, ParallelizerInsertsExchangeAtRoot) {
   LogicalOpPtr plan = Prepare("(select (> units 50) (scan sales))");
   ParallelOptions options;

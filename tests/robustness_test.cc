@@ -353,6 +353,25 @@ TEST(DecoderTest, OutOfRangeEnumBytesAreDataLoss) {
   }
 }
 
+// An extract image whose bytes all decode but whose column stats lie
+// about the payload: the date column "d" holds 100 and 103 while its
+// stats claim max 101. The dense aggregate indexes arrays by
+// value - stats.min, so such an image is rejected as kDataLoss rather
+// than loaded.
+TEST(DecoderTest, StatsThatLieAboutThePayloadAreDataLoss) {
+  const std::string image = tde::DatabaseSerializer::Pack(SampleDatabase());
+  ASSERT_TRUE(tde::DatabaseSerializer::Unpack(image).ok());
+  // Value tag 2 (int) followed by 103 little-endian: the stats' max.
+  const std::string max103("\x02\x67\0\0\0\0\0\0\0", 9);
+  const size_t at = image.find(max103);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(image.find(max103, at + 1), std::string::npos);
+  std::string lying = image;
+  lying[at + 1] = 101;
+  Status s = tde::DatabaseSerializer::Unpack(lying).status();
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s;
+}
+
 TEST(ConcurrencyTest, CacheSurvivesParallelMixedUse) {
   cache::IntelligentCacheOptions options;
   options.max_bytes = 64 * 1024;  // force continuous eviction

@@ -17,8 +17,9 @@
 // --selftest runs the same workload and asserts the acceptance criteria
 // (plausible p50<=p95<=p99 in cache/pool/operator histograms, schema-valid
 // Chrome trace, root rows-out == returned rows, retained tail exemplars
-// with a valid trace, non-empty monotone plan profiles), exiting non-zero
-// on any violation; CI runs it on every Release build.
+// with a valid trace, non-empty monotone plan profiles, dense aggregation
+// in every Figure-1 zone plan under a carrier quick filter), exiting
+// non-zero on any violation; CI runs it on every Release build.
 //
 // --cluster N routes the dashboard workload through an N-node sharded
 // Data Server (cluster/coordinator.h) instead of the single-node service,
@@ -78,6 +79,9 @@ struct WorkloadResult {
   // table sort, so the encoded Scan->Aggregate path must claim it.
   std::string encoded_plan_text;
   int64_t encoded_probe_rows = 0;
+  // Figure-1 zone queries under a quick filter keeping all carriers but
+  // one (the explore workload's shape): (zone, EXPLAIN ANALYZE) pairs.
+  std::vector<std::pair<std::string, std::string>> zone_plans;
   int64_t queries_run = 0;
 };
 
@@ -229,6 +233,25 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
   ++out.queries_run;
   out.encoded_probe_rows = encoded_result.num_rows();
   out.encoded_plan_text = ectx.log()->attachment("tde.analyze");
+
+  // Zone probes: the carrier quick filter is rewritten into range
+  // skipping, which must feed the dense path of every Figure-1 zone.
+  dashboard::InteractionState filtered;
+  std::vector<Value> carriers;
+  for (const std::string& code : workload::FaaCarrierCodes()) {
+    if (code != workload::FaaCarrierCodes().front()) carriers.push_back(Value(code));
+  }
+  filtered.SetQuickFilter("carrier", std::move(carriers));
+  for (const dashboard::Zone& zone : fig1.zones()) {
+    if (zone.kind != dashboard::ZoneKind::kViz) continue;
+    VIZQ_ASSIGN_OR_RETURN(query::AbstractQuery q,
+                          fig1.BuildZoneQuery(zone.name, filtered));
+    ExecContext zctx;
+    VIZQ_RETURN_IF_ERROR(service.ExecuteQuery(zctx, q, probe_opts).status());
+    ++out.queries_run;
+    out.zone_plans.emplace_back(zone.name,
+                                zctx.log()->attachment("tde.analyze"));
+  }
   return out;
 }
 
@@ -277,6 +300,17 @@ int SelfTest(const WorkloadResult& result) {
                   "(plans=" + std::to_string(plans) +
                   " fallbacks=" + std::to_string(fallbacks) +
                   " rows_undecoded=" + std::to_string(undecoded) + ")");
+    }
+  }
+
+  // (g) every Figure-1 zone under the carrier quick filter aggregates on
+  // the dense path (range skipping feeds it; the Airlines zone's partial
+  // aggregate below the carriers join does too).
+  if (result.zone_plans.empty()) return Fail("selftest: no zone probes ran");
+  for (const auto& [zone, plan] : result.zone_plans) {
+    if (plan.find(" dense") == std::string::npos) {
+      return Fail("selftest: zone " + zone +
+                  " plan lacks dense aggregation:\n" + plan);
     }
   }
 
