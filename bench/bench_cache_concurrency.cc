@@ -20,6 +20,13 @@
 // the baseline's copy-under-lock makes t_lock ≈ t_op with C = 1, which
 // pins modeled(8)/modeled(1) at ~1x, while the striped cache reaches
 // min(8, shards) ≈ 8x.
+//
+// The 64-view traffic spreads its buckets over the 16 shards, so threads
+// rarely meet on one mutex. A dashboard server mostly sees one
+// (source, view): every lookup lands in one bucket and one shard. The
+// self-timed --emit-json run therefore also measures a one-view case,
+// about 250 entries in one bucket (the size a 256 KiB explore cache
+// holds), with real threads 1..4.
 
 #include <benchmark/benchmark.h>
 
@@ -35,6 +42,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifndef VIZQ_BUILD_TYPE
+#define VIZQ_BUILD_TYPE "unknown"
+#endif
 
 #include "src/obs/metrics.h"
 
@@ -183,6 +194,69 @@ AbstractQuery MissQuery(int i) {
       .Dim("region")
       .CountAll("n")
       .Build();
+}
+
+// ---------------------------------------------------------------------------
+// One-view workload: kOneViewEntries entries in a single bucket, five
+// shapes (dimension pair x filter column) whose filter values differ per
+// entry, like a dashboard's zones under changing quick-filter selections.
+
+constexpr int kOneViewEntries = 250;
+constexpr int kOneViewShapes = 5;
+constexpr int kOneViewRows = 64;
+
+const char* const kOneViewDims[kOneViewShapes][2] = {
+    {"region", "product"}, {"region", "month"}, {"product", "year"},
+    {"state", "month"},    {"carrier", "year"}};
+const char* const kOneViewFilters[kOneViewShapes] = {"carrier", "state",
+                                                    "region", "product",
+                                                    "year"};
+
+QueryBuilder OneViewBuilder(int shape, int dims) {
+  QueryBuilder b("bench", "faa");
+  for (int d = 0; d < dims; ++d) b.Dim(kOneViewDims[shape][d]);
+  b.Agg(AggFunc::kSum, "units", "total");
+  return b;
+}
+
+AbstractQuery OneViewStored(int i) {
+  int shape = i % kOneViewShapes;
+  return OneViewBuilder(shape, 2)
+      .FilterIn(kOneViewFilters[(i / kOneViewShapes) % kOneViewShapes],
+                {Value("v" + std::to_string(i))})
+      .Build();
+}
+
+// Rolls entry `i` up to its first dimension: the scan must reach `i`.
+AbstractQuery OneViewRollup(int i) {
+  int shape = i % kOneViewShapes;
+  return OneViewBuilder(shape, 1)
+      .FilterIn(kOneViewFilters[(i / kOneViewShapes) % kOneViewShapes],
+                {Value("v" + std::to_string(i))})
+      .Build();
+}
+
+// A filter value no entry stores: the scan rejects every candidate.
+AbstractQuery OneViewMiss(int i) {
+  int shape = i % kOneViewShapes;
+  return OneViewBuilder(shape, 1)
+      .FilterIn(kOneViewFilters[(i / kOneViewShapes) % kOneViewShapes],
+                {Value("cold" + std::to_string(i))})
+      .Build();
+}
+
+ResultTable OneViewResult(int i) {
+  int shape = i % kOneViewShapes;
+  ResultTable t(std::vector<ResultColumn>{
+      {kOneViewDims[shape][0], DataType::String()},
+      {kOneViewDims[shape][1], DataType::String()},
+      {"total", DataType::Int64()}});
+  for (int r = 0; r < kOneViewRows; ++r) {
+    t.AddRow({Value("a" + std::to_string(r % 8)),
+              Value("b" + std::to_string(r / 8)),
+              Value(static_cast<int64_t>(r))});
+  }
+  return t;
 }
 
 template <typename Cache>
@@ -341,11 +415,12 @@ void BM_ModeledScaling(benchmark::State& state) {
 BENCHMARK(BM_ModeledScaling)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --emit-json=PATH: machine-readable bench record (BENCH_cache.json) so
-// the throughput/p95 trajectory is tracked across PRs. Self-timed (no
-// google-benchmark harness): per thread count, every thread issues the
-// mixed workload against one shared sharded cache and logs per-op
-// latency; the run also measures the marginal cost of the global
+// --emit-json=PATH: machine-readable bench record (BENCH_cache.json; add
+// --git-sha=SHA to stamp the commit) so the throughput/p95 trajectory is
+// tracked across PRs. Self-timed (no google-benchmark harness): per
+// traffic shape and thread count, every thread issues the mixed workload
+// against one shared sharded cache and logs per-op latency; the run also
+// measures the marginal cost of the global
 // MetricsRegistry on the exact-hit hot path (acceptance: < 5%).
 
 struct MixedRunResult {
@@ -354,12 +429,31 @@ struct MixedRunResult {
   double p95_us = 0;
 };
 
-MixedRunResult RunMixedThreads(int num_threads, int ops_per_thread) {
+// A traffic shape for the self-timed runs: `entries` stored queries and,
+// per entry, the exact, roll-up and miss requests and the stored result.
+struct Traffic {
+  int entries;
+  AbstractQuery (*stored)(int);
+  AbstractQuery (*rollup)(int);
+  AbstractQuery (*miss)(int);
+  ResultTable (*result)(int);
+};
+
+const Traffic kViews64{kNumViews, StoredQuery, RollupQuery, MissQuery,
+                       [](int) { return StoredResult(); }};
+const Traffic kOneView{kOneViewEntries, OneViewStored, OneViewRollup,
+                       OneViewMiss, OneViewResult};
+
+MixedRunResult RunMixedThreads(const Traffic& traffic, int num_threads,
+                               int ops_per_thread) {
   IntelligentCacheOptions options;
   options.num_shards = 16;
   IntelligentCache cache(options);
-  Prepopulate(cache);
-  ResultTable fresh = StoredResult();
+  std::vector<ResultTable> results;
+  for (int i = 0; i < traffic.entries; ++i) {
+    results.push_back(traffic.result(i));
+    cache.Put(traffic.stored(i), results.back(), 25.0);
+  }
 
   std::vector<std::vector<double>> latencies_us(num_threads);
   std::atomic<bool> go{false};
@@ -371,17 +465,17 @@ MixedRunResult RunMixedThreads(int num_threads, int ops_per_thread) {
       while (!go.load(std::memory_order_acquire)) {}
       for (int i = 0; i < ops_per_thread; ++i) {
         double roll = rng.NextDouble();
-        int view = static_cast<int>(rng.Below(kNumViews));
+        int entry = static_cast<int>(rng.Below(traffic.entries));
         int64_t t0 = NowNs();
         if (roll < 0.70) {
-          benchmark::DoNotOptimize(cache.LookupHit(StoredQuery(view)));
+          benchmark::DoNotOptimize(cache.LookupHit(traffic.stored(entry)));
         } else if (roll < 0.85) {
-          benchmark::DoNotOptimize(cache.LookupHit(RollupQuery(view)));
+          benchmark::DoNotOptimize(cache.LookupHit(traffic.rollup(entry)));
         } else if (roll < 0.95) {
-          benchmark::DoNotOptimize(
-              cache.LookupHit(MissQuery(static_cast<int>(rng.Below(100000)))));
+          benchmark::DoNotOptimize(cache.LookupHit(
+              traffic.miss(static_cast<int>(rng.Below(100000)))));
         } else {
-          cache.Put(StoredQuery(view), fresh, 25.0);
+          cache.Put(traffic.stored(entry), results[entry], 25.0);
         }
         latencies_us[t].push_back(static_cast<double>(NowNs() - t0) / 1000.0);
       }
@@ -404,6 +498,20 @@ MixedRunResult RunMixedThreads(int num_threads, int ops_per_thread) {
   return out;
 }
 
+std::string RunsJson(const std::vector<MixedRunResult>& runs) {
+  std::string out = "[\n";
+  char buf[160];
+  for (size_t i = 0; i < runs.size(); ++i) {
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"threads\": %d, \"ops_per_s\": %.0f, "
+                  "\"p95_us\": %.3f}%s\n",
+                  runs[i].threads, runs[i].ops_per_s, runs[i].p95_us,
+                  i + 1 < runs.size() ? "," : "");
+    out += buf;
+  }
+  return out + "    ]";
+}
+
 // ns/op for a single-threaded exact-hit loop under `ctx`.
 double MeasureExactHitNs(IntelligentCache& cache, const ExecContext& ctx,
                          int ops) {
@@ -417,15 +525,18 @@ double MeasureExactHitNs(IntelligentCache& cache, const ExecContext& ctx,
   return static_cast<double>(NowNs() - start) / ops;
 }
 
-int EmitJson(const std::string& path) {
+int EmitJson(const std::string& path, const std::string& git_sha) {
   constexpr int kOpsPerThread = 20000;
-  const int thread_counts[] = {1, 2, 4, 8, 16};
-  std::vector<MixedRunResult> runs;
-  for (int t : thread_counts) {
-    runs.push_back(RunMixedThreads(t, kOpsPerThread));
-    std::fprintf(stderr, "  mixed %2d threads: %.0f ops/s, p95 %.2f us\n",
-                 runs.back().threads, runs.back().ops_per_s,
-                 runs.back().p95_us);
+  std::vector<MixedRunResult> views64, one_view;
+  for (int t : {1, 2, 4, 8, 16}) {
+    views64.push_back(RunMixedThreads(kViews64, t, kOpsPerThread));
+    std::fprintf(stderr, "  64 views  %2d threads: %.0f ops/s, p95 %.2f us\n",
+                 t, views64.back().ops_per_s, views64.back().p95_us);
+  }
+  for (int t : {1, 2, 4}) {
+    one_view.push_back(RunMixedThreads(kOneView, t, kOpsPerThread));
+    std::fprintf(stderr, "  one view  %2d threads: %.0f ops/s, p95 %.2f us\n",
+                 t, one_view.back().ops_per_s, one_view.back().p95_us);
   }
 
   // Registry hot-path overhead: exact-hit loop with per-request metrics
@@ -453,23 +564,23 @@ int EmitJson(const std::string& path) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  char buf[256];
-  f << "{\n  \"bench\": \"cache_concurrency\",\n"
-    << "  \"workload\": \"mixed 70% exact / 15% derived / 10% miss / 5% put,"
-    << " sharded16\",\n  \"ops_per_thread\": " << kOpsPerThread
-    << ",\n  \"threads\": [\n";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %d, \"ops_per_s\": %.0f, "
-                  "\"p95_us\": %.3f}%s\n",
-                  runs[i].threads, runs[i].ops_per_s, runs[i].p95_us,
-                  i + 1 < runs.size() ? "," : "");
-    f << buf;
-  }
+  char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "  ],\n  \"registry_overhead\": {\"exact_hit_ns_no_sink\": "
+                "{\n  \"bench\": \"cache_concurrency\",\n"
+                "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\"},\n"
+                "  \"git_sha\": \"%s\",\n"
+                "  \"workload\": \"mixed 70%% exact / 15%% derived / 10%% "
+                "miss / 5%% put, 16 shards, %d ops per thread; views64: 64 "
+                "views x 1 entry; one_view: %d entries in one bucket\",\n"
+                "  \"metrics\": {\n",
+                std::thread::hardware_concurrency(), VIZQ_BUILD_TYPE,
+                git_sha.c_str(), kOpsPerThread, kOneViewEntries);
+  f << buf << "    \"views64\": " << RunsJson(views64) << ",\n"
+    << "    \"one_view\": " << RunsJson(one_view) << ",\n";
+  std::snprintf(buf, sizeof(buf),
+                "    \"registry_overhead\": {\"exact_hit_ns_no_sink\": "
                 "%.1f, \"exact_hit_ns_with_sink\": %.1f, "
-                "\"overhead_pct\": %.2f}\n}\n",
+                "\"overhead_pct\": %.2f}\n  }\n}\n",
                 ns_no_sink, ns_with_sink, overhead_pct);
   f << buf;
   std::fprintf(stderr, "wrote %s\n", path.c_str());
@@ -479,11 +590,16 @@ int EmitJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  std::string git_sha = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--emit-json=", 12) == 0) {
-      return EmitJson(argv[i] + 12);
+      json_path = argv[i] + 12;
+    } else if (std::strncmp(argv[i], "--git-sha=", 10) == 0) {
+      git_sha = argv[i] + 10;
     }
   }
+  if (!json_path.empty()) return EmitJson(json_path, git_sha);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

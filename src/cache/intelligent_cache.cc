@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
 
 namespace vizq::cache {
@@ -32,9 +33,13 @@ int FindStoredDimension(const AbstractQuery& stored, const std::string& name) {
 
 bool SameDimensionSet(const AbstractQuery& a, const AbstractQuery& b) {
   if (a.dimensions.size() != b.dimensions.size()) return false;
-  std::set<std::string> sa(a.dimensions.begin(), a.dimensions.end());
-  std::set<std::string> sb(b.dimensions.begin(), b.dimensions.end());
-  return sa == sb;
+  for (const std::string& d : a.dimensions) {
+    if (FindStoredDimension(b, d) < 0) return false;
+  }
+  for (const std::string& d : b.dimensions) {
+    if (FindStoredDimension(a, d) < 0) return false;
+  }
+  return true;
 }
 
 bool RowPassesPredicate(const Value& v, const ColumnPredicate& p) {
@@ -85,22 +90,36 @@ std::nullopt_t Fail(MissReason r, MissReason* out) {
   return std::nullopt;
 }
 
-}  // namespace
+// A column signature: bit (hash(name) mod 64) set for every dimension and
+// for every filtered column. A clear bit proves the column is absent; a
+// set bit proves nothing (another column may share it).
+struct ColumnSignature {
+  uint64_t dims = 0;
+  uint64_t filters = 0;
+};
 
-std::optional<MatchPlan> MatchQueries(
-    const AbstractQuery& stored,
-    const std::vector<ResultColumn>& stored_columns,
-    const AbstractQuery& requested, MissReason* reason) {
+uint64_t ColumnBit(const std::string& column) {
+  return uint64_t{1} << (std::hash<std::string>{}(column) & 63);
+}
+
+ColumnSignature SignatureOf(const AbstractQuery& q) {
+  ColumnSignature sig;
+  for (const std::string& d : q.dimensions) sig.dims |= ColumnBit(d);
+  for (const ColumnPredicate& p : q.filters.predicates) {
+    sig.filters |= ColumnBit(p.column);
+  }
+  return sig;
+}
+
+// The subsumption proof after the byte-identical-key step (MatchQueries
+// minus that step). The bucket scan calls it directly: a byte-identical
+// entry is the one the exact-key probe already found.
+std::optional<MatchPlan> ProveSubsumption(const AbstractQuery& stored,
+                                          const AbstractQuery& requested,
+                                          MissReason* reason) {
   if (stored.data_source != requested.data_source ||
       stored.view != requested.view) {
     return Fail(MissReason::kNoCandidate, reason);
-  }
-
-  // Byte-identical request: zero post-processing.
-  if (stored.ToKeyString() == requested.ToKeyString()) {
-    MatchPlan plan;
-    plan.exact = true;
-    return plan;
   }
 
   // A truncated (top-n) stored result cannot answer anything else.
@@ -214,8 +233,59 @@ std::optional<MatchPlan> MatchQueries(
                            plan.apply_order_limit
                        ? 1
                        : 0;
-  (void)stored_columns;
   return plan;
+}
+
+// The signature prefilter: the MissReason the proof must fail with when
+// the signatures already decide it, kNone when the candidate needs the
+// full proof. Checks follow the proof's order so the reason is the one
+// ProveSubsumption would give; a bit collision only lets a candidate
+// through, it never rejects a true match.
+MissReason PrefilterReject(const AbstractQuery& stored,
+                           const ColumnSignature& stored_sig,
+                           const AbstractQuery& requested,
+                           const ColumnSignature& requested_sig) {
+  if (stored.data_source != requested.data_source ||
+      stored.view != requested.view) {
+    return MissReason::kNoCandidate;
+  }
+  if (stored.has_limit()) return MissReason::kStoredTopN;
+  // A requested dimension whose bit the stored granularity lacks.
+  if ((requested_sig.dims & ~stored_sig.dims) != 0) {
+    return MissReason::kDimensionNotStored;
+  }
+  // A stored filter column the request does not constrain: the request
+  // cannot imply that predicate. The dimension check precedes it in the
+  // proof, so settle that exactly first.
+  if ((stored_sig.filters & ~requested_sig.filters) != 0) {
+    for (const std::string& dim : requested.dimensions) {
+      if (FindStoredDimension(stored, dim) < 0) {
+        return MissReason::kDimensionNotStored;
+      }
+    }
+    return MissReason::kFiltersNotImplied;
+  }
+  return MissReason::kNone;
+}
+
+}  // namespace
+
+std::optional<MatchPlan> MatchQueries(
+    const AbstractQuery& stored,
+    const std::vector<ResultColumn>& stored_columns,
+    const AbstractQuery& requested, MissReason* reason) {
+  (void)stored_columns;
+  if (stored.data_source != requested.data_source ||
+      stored.view != requested.view) {
+    return Fail(MissReason::kNoCandidate, reason);
+  }
+  // Byte-identical request: zero post-processing.
+  if (stored.ToKeyString() == requested.ToKeyString()) {
+    MatchPlan plan;
+    plan.exact = true;
+    return plan;
+  }
+  return ProveSubsumption(stored, requested, reason);
 }
 
 StatusOr<ResultTable> ApplyMatchPlan(const ResultTable& stored,
@@ -603,14 +673,10 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
     return lookup.max_age_ms >= 0 && age <= lookup.max_age_ms;
   };
 
-  // Under the shard lock: metadata only. The exact probe returns a
-  // refcounted snapshot; the subsumption scan compares descriptors and
-  // snapshots the winning entry so ApplyMatchPlan can run lock-free.
-  std::shared_ptr<Entry> best;
-  std::shared_ptr<const ResultTable> best_table;
-  MatchPlan best_plan;
-  double best_age = 0.0;
-  bool best_stale = false;
+  // Under the shard lock: the exact probe (which returns a refcounted
+  // snapshot) and a copy of the bucket pointer, nothing that grows with
+  // the bucket.
+  std::shared_ptr<const Bucket> bucket;
   // Closest-progress rejection across the bucket's candidates; reasons
   // are ordered by proof progress, so max is "the nearest near-miss".
   MissReason miss_reason = MissReason::kNoCandidate;
@@ -651,50 +717,65 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
       // below may still find a fresher derivable candidate.
       miss_reason = MissReason::kEntryStale;
     }
-    auto bit = lookup.exact_only ? shard.buckets.end()
-                                 : shard.buckets.find(bucket_key);
-    if (bit != shard.buckets.end()) {
-      for (const std::shared_ptr<Entry>& entry : bit->second) {
-        double age = age_of(*entry);
-        bool is_stale = false;
-        if (!admissible(age, &is_stale)) {
-          miss_reason = std::max(miss_reason, MissReason::kEntryStale);
-          continue;
-        }
-        MissReason candidate_reason = MissReason::kNone;
-        auto plan = MatchQueries(entry->descriptor, entry->result->columns(),
-                                 q, &candidate_reason);
-        if (!plan.has_value()) {
-          miss_reason = std::max(miss_reason, candidate_reason);
-          continue;
-        }
-        // Weight the post-processing estimate by the stored row count.
-        plan->post_cost = (plan->post_cost + 1) * entry->result->num_rows();
-        // Among admissible candidates a fresh one always beats a stale
-        // one; post_cost only breaks ties within the same freshness.
-        bool better =
-            best == nullptr ||
-            (best_stale && !is_stale) ||
-            (best_stale == is_stale && plan->post_cost < best_plan.post_cost);
-        if (options_.strategy == MatchStrategy::kFirstMatch) {
-          if (best == nullptr || (best_stale && !is_stale)) {
-            best = entry;
-            best_plan = std::move(*plan);
-            best_age = age;
-            best_stale = is_stale;
-          }
-          if (!best_stale) break;
-          continue;
-        }
-        if (better) {
+    if (!lookup.exact_only) {
+      auto bit = shard.buckets.find(bucket_key);
+      if (bit != shard.buckets.end()) bucket = bit->second;
+    }
+  }
+
+  // The subsumption scan runs on the snapshot, lock-free: it reads only
+  // the entry fields fixed before publication. The byte-identical entry,
+  // if any, is the one the probe above already served or found too old,
+  // so the scan runs the proof without the key-string step.
+  std::shared_ptr<Entry> best;
+  MatchPlan best_plan;
+  double best_age = 0.0;
+  bool best_stale = false;
+  if (bucket != nullptr) {
+    ColumnSignature want = SignatureOf(q);
+    for (const std::shared_ptr<Entry>& entry : *bucket) {
+      double age = age_of(*entry);
+      bool is_stale = false;
+      if (!admissible(age, &is_stale)) {
+        miss_reason = std::max(miss_reason, MissReason::kEntryStale);
+        continue;
+      }
+      MissReason candidate_reason = PrefilterReject(
+          entry->descriptor, {entry->dim_sig, entry->filter_sig}, q, want);
+      if (candidate_reason != MissReason::kNone) {
+        miss_reason = std::max(miss_reason, candidate_reason);
+        continue;
+      }
+      auto plan = ProveSubsumption(entry->descriptor, q, &candidate_reason);
+      if (!plan.has_value()) {
+        miss_reason = std::max(miss_reason, candidate_reason);
+        continue;
+      }
+      // Weight the post-processing estimate by the stored row count.
+      plan->post_cost = (plan->post_cost + 1) * entry->result->num_rows();
+      // Among admissible candidates a fresh one always beats a stale
+      // one; post_cost only breaks ties within the same freshness.
+      bool better =
+          best == nullptr ||
+          (best_stale && !is_stale) ||
+          (best_stale == is_stale && plan->post_cost < best_plan.post_cost);
+      if (options_.strategy == MatchStrategy::kFirstMatch) {
+        if (best == nullptr || (best_stale && !is_stale)) {
           best = entry;
           best_plan = std::move(*plan);
           best_age = age;
           best_stale = is_stale;
         }
+        if (!best_stale) break;
+        continue;
+      }
+      if (better) {
+        best = entry;
+        best_plan = std::move(*plan);
+        best_age = age;
+        best_stale = is_stale;
       }
     }
-    if (best != nullptr) best_table = best->result;
   }
 
   if (best == nullptr) {
@@ -704,6 +785,7 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
 
   // Derived hit: the roll-up/filter/top-n recipe runs outside the lock on
   // the immutable snapshot, so concurrent lookups in this shard proceed.
+  const std::shared_ptr<const ResultTable>& best_table = best->result;
   auto apply_start = std::chrono::steady_clock::now();
   auto result = ApplyMatchPlan(*best_table, best_plan, q);
   if (ctx.metrics_enabled()) {
@@ -798,6 +880,9 @@ void IntelligentCache::Put(const AbstractQuery& q, ResultTable result,
   entry->usage.bytes = bytes;
   entry->key = q.ToKeyString();
   entry->bucket_key = q.data_source + "\x1f" + q.view;
+  ColumnSignature sig = SignatureOf(q);
+  entry->dim_sig = sig.dims;
+  entry->filter_sig = sig.filters;
 
   Shard& shard = ShardFor(entry->bucket_key);
   {
@@ -805,7 +890,12 @@ void IntelligentCache::Put(const AbstractQuery& q, ResultTable result,
     if (shard.by_key.find(entry->key) != shard.by_key.end()) {
       return;  // already cached
     }
-    shard.buckets[entry->bucket_key].push_back(entry);
+    std::shared_ptr<const Bucket>& slot = shard.buckets[entry->bucket_key];
+    auto next = std::make_shared<Bucket>();
+    next->reserve((slot != nullptr ? slot->size() : 0) + 1);
+    if (slot != nullptr) next->assign(slot->begin(), slot->end());
+    next->push_back(entry);
+    slot = std::move(next);
     shard.by_key[entry->key] = entry;
     shard.bytes += bytes;
     shard.heap.Push(entry, options_.eviction);
@@ -825,10 +915,16 @@ void IntelligentCache::RemoveLocked(Shard& shard,
   shard.by_key.erase(entry->key);
   auto bit = shard.buckets.find(entry->bucket_key);
   if (bit != shard.buckets.end()) {
-    auto& bucket = bit->second;
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), entry),
-                 bucket.end());
-    if (bucket.empty()) shard.buckets.erase(bit);
+    auto next = std::make_shared<Bucket>();
+    next->reserve(bit->second->size());
+    for (const std::shared_ptr<Entry>& e : *bit->second) {
+      if (e != entry) next->push_back(e);
+    }
+    if (next->empty()) {
+      shard.buckets.erase(bit);
+    } else {
+      bit->second = std::move(next);
+    }
   }
   shard.bytes -= entry->usage.bytes;
 }
@@ -870,7 +966,7 @@ void IntelligentCache::InvalidateDataSource(const std::string& data_source) {
       const std::string& key = bit->first;
       std::string src = key.substr(0, key.find('\x1f'));
       if (src == data_source) {
-        for (const std::shared_ptr<Entry>& entry : bit->second) {
+        for (const std::shared_ptr<Entry>& entry : *bit->second) {
           entry->evicted = true;
           shard.by_key.erase(entry->key);
           shard.bytes -= entry->usage.bytes;

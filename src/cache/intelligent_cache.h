@@ -195,12 +195,12 @@ struct LookupOptions {
 };
 
 // Thread-safe, lock-striped. Shards are selected by the hash of the
-// (data_source, view) bucket key, so one lookup — exact probe plus
-// subsumption scan — touches exactly one shard mutex. Under the shard
-// lock only metadata work happens (map probes, MatchQueries over
-// descriptors, usage bumps); exact hits hand back a refcounted snapshot
-// and the expensive derived-hit roll-up (ApplyMatchPlan) runs on a
-// snapshotted entry after the lock is released.
+// (data_source, view) bucket key, so one lookup touches exactly one shard
+// mutex. Under the shard lock a lookup only does the exact-key probe (and
+// its usage bump) and copies the bucket's snapshot pointer; the
+// subsumption scan over that immutable snapshot and the derived-hit
+// roll-up (ApplyMatchPlan) both run after the lock is released, so lookups
+// on one bucket do not serialize behind each other's scans.
 class IntelligentCache {
  public:
   explicit IntelligentCache(IntelligentCacheOptions options = {});
@@ -259,6 +259,12 @@ class IntelligentCache {
   void SetStatsForRestore(const CacheStats& stats);
 
  private:
+  // Entry fields fall in two groups. `descriptor`, `result`, `stored_at`,
+  // `key`, `bucket_key`, `dim_sig` and `filter_sig` are written once,
+  // before the entry is published under the shard lock, and never change:
+  // the lock-free bucket scan reads them. `usage`, `heap_seq` and
+  // `evicted` change after publication and are touched only under the
+  // shard lock.
   struct Entry {
     query::AbstractQuery descriptor;
     std::shared_ptr<const ResultTable> result;
@@ -270,15 +276,22 @@ class IntelligentCache {
     bool evicted = false;   // left the maps; heap nodes must skip it
     std::string key;        // descriptor.ToKeyString(), cached
     std::string bucket_key;
+    // Column signatures (ColumnSignature in the .cc): one hashed bit per
+    // dimension / filter column, for the scan's prefilter.
+    uint64_t dim_sig = 0;
+    uint64_t filter_sig = 0;
   };
+  // A bucket is replaced copy-on-write under the shard lock, never edited
+  // in place, so a lookup may scan its snapshot without the lock.
+  using Bucket = std::vector<std::shared_ptr<Entry>>;
 
   struct Shard {
     mutable std::mutex mu;
     // Exact-key fast path.
     std::map<std::string, std::shared_ptr<Entry>> by_key;
     // Bucketed by (data_source, view): the index that keeps subsumption
-    // scans from touching unrelated entries.
-    std::map<std::string, std::vector<std::shared_ptr<Entry>>> buckets;
+    // scans from touching unrelated entries. Entries keep insertion order.
+    std::map<std::string, std::shared_ptr<const Bucket>> buckets;
     EvictionHeap<Entry> heap;
     int64_t bytes = 0;
   };

@@ -48,9 +48,12 @@ struct NodeOptions {
   // Concurrent batches this node can execute; further batches wait
   // (deadline-aware) for a slot. The cluster's scaling lever.
   int cpu_slots = 2;
-  // Per-source cache sizing on this node.
-  cache::IntelligentCacheOptions cache;
-  cache::LiteralCacheOptions literal_cache;
+  // Per-source cache sizing on this node. §3.2: "recent entries are also
+  // stored in memory on the nodes"; the shared tier keeps the rest warm,
+  // so each hosted source gets a small node-local cap by default.
+  cache::IntelligentCacheOptions cache{.max_bytes = 256 << 10, .eviction = {}};
+  cache::LiteralCacheOptions literal_cache{.max_bytes = 256 << 10,
+                                           .eviction = {}};
   // Template pipeline options; per-request scalars (cache_only, ladder
   // freshness, session) are overridden from the RPC payload.
   dashboard::BatchOptions batch;

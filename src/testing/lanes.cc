@@ -1,5 +1,6 @@
 #include "src/testing/lanes.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -131,6 +132,52 @@ AbstractQuery GeneralizeForDerivedHit(const AbstractQuery& q,
   g.Canonicalize();
   return g;
 }
+
+namespace {
+
+// Entries the derived-hit lane stores before `g`, each built to fail the
+// subsumption proof for `q` at a different stage: a stored filter on a
+// column `q` leaves unconstrained, a dimension `q` needs, a truncated
+// top-n. Only candidates that really fail the proof are returned.
+std::vector<AbstractQuery> DerivedHitDecoys(const AbstractQuery& q,
+                                            const AbstractQuery& g,
+                                            const Dataset& ds) {
+  std::vector<AbstractQuery> decoys;
+  for (const std::string& column : ds.dim_columns) {
+    auto pool = ds.pools.find(column);
+    if (q.filters.Find(column) != nullptr || pool == ds.pools.end() ||
+        pool->second.empty()) {
+      continue;
+    }
+    AbstractQuery wider = g;
+    wider.filters.predicates.push_back(
+        query::ColumnPredicate::InSet(column, {pool->second.front()}));
+    wider.Canonicalize();
+    decoys.push_back(std::move(wider));
+    break;
+  }
+  if (!q.dimensions.empty()) {
+    AbstractQuery narrower = g;
+    narrower.dimensions.erase(std::find(narrower.dimensions.begin(),
+                                        narrower.dimensions.end(),
+                                        q.dimensions.front()));
+    decoys.push_back(std::move(narrower));
+  }
+  AbstractQuery top_n = g;
+  top_n.order_by.push_back({g.measures.front().EffectiveAlias(), false});
+  top_n.limit = 1;
+  decoys.push_back(std::move(top_n));
+
+  std::vector<AbstractQuery> failing;
+  for (AbstractQuery& d : decoys) {
+    if (!cache::MatchQueries(d, {}, q).has_value()) {
+      failing.push_back(std::move(d));
+    }
+  }
+  return failing;
+}
+
+}  // namespace
 
 ExecutionLanes::ExecutionLanes(Dataset dataset, LaneSetupOptions options)
     : dataset_(std::move(dataset)), options_(options) {
@@ -412,7 +459,13 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
                                   stored.status().ToString(),
                               q.ToKeyString()});
     } else {
+      // Decoys go in first, so every lookup walks the rejection paths
+      // (signature prefilter and full proof) before it reaches `g`.
       cache::IntelligentCache cache;
+      for (const AbstractQuery& decoy : DerivedHitDecoys(q, g, dataset_)) {
+        StatusOr<ResultTable> decoy_result = ExecuteTruth(decoy);
+        if (decoy_result.ok()) cache.Put(decoy, *decoy_result, 100.0);
+      }
       cache.Put(g, *stored, 100.0);
       auto hit = cache.LookupHit(q);
       if (!hit.has_value()) {

@@ -182,6 +182,110 @@ TEST(CacheConcurrencyTest, DerivedHitsRaceEvictionSafely) {
             derived_hits.load());
 }
 
+TEST(CacheConcurrencyTest, OneBucketLookupsRaceWritersOnTheSameView) {
+  // The traffic a one-view dashboard server sees: every lookup, Put,
+  // eviction, invalidation and Clear lands in one (source, view) bucket
+  // and so on one shard. Lookups scan a bucket snapshot outside the shard
+  // lock while writers replace the bucket; every hit must still equal the
+  // request's ground truth, and requests no entry can answer never hit.
+  TruthEnv env;
+  auto sales = [] { return QueryBuilder("tde", "sales"); };
+  std::vector<AbstractQuery> stored = {
+      sales().Dim("region").Dim("product")
+          .Agg(AggFunc::kSum, "units", "total")
+          .Agg(AggFunc::kCount, "units", "n")
+          .Agg(AggFunc::kMax, "units", "hi").Build(),
+      sales().Dim("region").Agg(AggFunc::kSum, "units", "total").Build(),
+      sales().Dim("product").Agg(AggFunc::kCount, "units", "n").Build(),
+      sales().Dim("region").Dim("product")
+          .Agg(AggFunc::kSum, "units", "total")
+          .FilterIn("region", {Value("East"), Value("North")}).Build(),
+      sales().Dim("product").Agg(AggFunc::kMin, "units", "lo")
+          .FilterIn("region", {Value("West")}).Build(),
+  };
+  struct Request {
+    AbstractQuery q;
+    bool answerable;
+  };
+  std::vector<Request> requests;
+  for (const AbstractQuery& q : stored) requests.push_back({q, true});
+  requests.push_back(
+      {sales().Agg(AggFunc::kSum, "units", "total").Build(), true});
+  requests.push_back({sales().Dim("product")
+                          .Agg(AggFunc::kMax, "units", "hi")
+                          .FilterIn("region", {Value("South")}).Build(),
+                      true});
+  requests.push_back({sales().Dim("region")
+                          .Agg(AggFunc::kSum, "units", "total")
+                          .FilterIn("product", {Value("apple")}).Build(),
+                      true});
+  requests.push_back({sales().Dim("product")
+                          .Agg(AggFunc::kSum, "units", "total")
+                          .FilterIn("region", {Value("East")}).Build(),
+                      true});
+  // No stored entry keeps the day column or a distinct count of units.
+  requests.push_back(
+      {sales().Dim("day").Agg(AggFunc::kSum, "units", "total").Build(),
+       false});
+  requests.push_back({sales().Dim("region")
+                          .Agg(AggFunc::kCountDistinct, "units", "nd")
+                          .Build(),
+                      false});
+  std::vector<ResultTable> stored_truth, request_truth;
+  int64_t stored_bytes = 0;
+  for (const AbstractQuery& q : stored) {
+    stored_truth.push_back(env.Truth(q));
+    stored_bytes += stored_truth.back().ApproxBytes();
+  }
+  for (const Request& r : requests) request_truth.push_back(env.Truth(r.q));
+
+  IntelligentCacheOptions options;
+  options.max_bytes = stored_bytes / 2;  // writers evict continuously
+  IntelligentCache cache(options);
+  std::atomic<int64_t> exact_hits{0}, derived_hits{0};
+  {
+    ThreadPool pool(6);
+    for (int worker = 0; worker < 4; ++worker) {
+      pool.Submit([&, worker] {
+        Rng rng(worker + 50);
+        for (int i = 0; i < 300; ++i) {
+          size_t pick = rng.Below(requests.size());
+          auto hit = cache.LookupHit(requests[pick].q);
+          if (!hit.has_value()) continue;
+          ASSERT_TRUE(requests[pick].answerable)
+              << requests[pick].q.ToKeyString();
+          ASSERT_TRUE(
+              ResultTable::SameUnordered(*hit->table, request_truth[pick]))
+              << requests[pick].q.ToKeyString();
+          (hit->exact ? exact_hits : derived_hits).fetch_add(1);
+        }
+      });
+    }
+    for (int worker = 0; worker < 2; ++worker) {
+      pool.Submit([&, worker] {
+        Rng rng(worker + 90);
+        for (int i = 0; i < 300; ++i) {
+          size_t pick = rng.Below(stored.size());
+          cache.Put(stored[pick], stored_truth[pick], 10.0);
+          if (worker == 0 && i % 60 == 59) cache.InvalidateDataSource("tde");
+          if (worker == 1 && i == 150) cache.Clear();
+        }
+      });
+    }
+    pool.Wait();
+  }
+  int64_t snapshot_bytes = 0;
+  for (const auto& s : cache.TakeSnapshot()) {
+    snapshot_bytes += s.result.ApproxBytes();
+  }
+  EXPECT_EQ(cache.total_bytes(), snapshot_bytes);
+  EXPECT_LE(cache.total_bytes(), options.max_bytes);
+  // Clear() resets counters, so the cache never reports more hits than
+  // the readers saw.
+  EXPECT_LE(cache.stats().exact_hits, exact_hits.load());
+  EXPECT_LE(cache.stats().derived_hits, derived_hits.load());
+}
+
 TEST(CacheConcurrencyTest, LiteralCacheMixedTraffic) {
   LiteralCacheOptions options;
   options.max_bytes = 64 * 1024;

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <thread>
+
 #include "src/cache/distributed.h"
 #include "src/cache/intelligent_cache.h"
 #include "src/cache/literal_cache.h"
 #include "src/cache/persistence.h"
+#include "src/common/rng.h"
 #include "src/dashboard/query_service.h"
 #include "src/federation/data_source.h"
 #include "tests/test_util.h"
@@ -835,6 +841,349 @@ TEST(AdjustForReuseTest, CountDistinctSurvivesFilterDimensionWidening) {
   ASSERT_TRUE(derived.ok()) << derived.status();
   EXPECT_TABLES_EQUIVALENT(env.Truth(q), *derived);
 }
+
+
+// A stand-in result with `q`'s output layout: one string column per
+// dimension and one int column per measure, `rows` rows whose measure
+// values start at `tag`. The matching and post-processing code only needs
+// the layout to be right, not the numbers to come from an engine.
+ResultTable LayoutTable(const AbstractQuery& q, int rows, int64_t tag) {
+  std::vector<ResultColumn> columns;
+  for (const std::string& d : q.dimensions) {
+    columns.push_back({d, DataType::String()});
+  }
+  for (const query::Measure& m : q.measures) {
+    columns.push_back({m.EffectiveAlias(), DataType::Int64()});
+  }
+  ResultTable t(std::move(columns));
+  for (int r = 0; r < rows; ++r) {
+    ResultTable::Row row;
+    for (size_t i = 0; i < q.dimensions.size(); ++i) {
+      row.push_back(Value(std::string(1, static_cast<char>('a' + (r + i) % 3))));
+    }
+    for (size_t i = 0; i < q.measures.size(); ++i) {
+      row.push_back(Value(tag + r + static_cast<int64_t>(i)));
+    }
+    t.AddRow(std::move(row));
+  }
+  return t;
+}
+
+// Each decoy fails the subsumption proof at one stage. Alone in the
+// bucket it must miss with exactly that stage's MissReason (the one
+// MatchQueries gives), all together with the furthest stage, and the true
+// match stored after all of them must still be found: the column
+// signature prefilter may skip the proof but never changes its outcome.
+TEST(IntelligentCacheTest, SignaturePrefilterKeepsEveryMissReason) {
+  AbstractQuery request = QueryBuilder("tde", "sales")
+                              .Dim("region")
+                              .Agg(AggFunc::kSum, "units", "total")
+                              .FilterIn("region", {Value("East")})
+                              .FilterIn("product", {Value("apple")})
+                              .Build();
+  struct Decoy {
+    AbstractQuery stored;
+    MissReason reason;
+  };
+  const std::vector<Decoy> decoys = {
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .OrderBy("total")
+           .Limit(3)
+           .Build(),
+       MissReason::kStoredTopN},
+      {QueryBuilder("tde", "sales")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .Build(),
+       MissReason::kDimensionNotStored},
+      // Fails on dimensions although its filter column is unconstrained
+      // by the request: the dimension check comes first in the proof.
+      {QueryBuilder("tde", "sales")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .FilterRange("units", Value(int64_t{0}), Value(int64_t{50}))
+           .Build(),
+       MissReason::kDimensionNotStored},
+      // A stored filter column the request does not constrain.
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .FilterRange("units", Value(int64_t{0}), Value(int64_t{50}))
+           .Build(),
+       MissReason::kFiltersNotImplied},
+      // Same filter columns, values the request does not imply.
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .FilterIn("region", {Value("West")})
+           .Build(),
+       MissReason::kFiltersNotImplied},
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Agg(AggFunc::kSum, "units", "total")
+           .Build(),
+       MissReason::kResidualNotGrouped},
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kCount, "units", "n")
+           .Build(),
+       MissReason::kMeasureNotDerivable},
+  };
+  AbstractQuery match = QueryBuilder("tde", "sales")
+                            .Dim("region")
+                            .Dim("product")
+                            .Agg(AggFunc::kSum, "units", "total")
+                            .Build();
+
+  std::array<int64_t, kNumMissReasons> tally{};
+  auto add_stats = [&tally](const IntelligentCache& cache) {
+    CacheStats stats = cache.stats();
+    int64_t sum = 0;
+    for (int i = 0; i < kNumMissReasons; ++i) {
+      tally[i] += stats.miss_reasons[i];
+      sum += stats.miss_reasons[i];
+    }
+    EXPECT_EQ(sum, stats.misses);
+  };
+
+  {
+    IntelligentCache empty;
+    EXPECT_FALSE(empty.LookupHit(request).has_value());
+    add_stats(empty);
+  }
+  for (const Decoy& d : decoys) {
+    SCOPED_TRACE(d.stored.ToKeyString());
+    ResultTable table = LayoutTable(d.stored, 2, 1);
+    MissReason proof_reason = MissReason::kNone;
+    EXPECT_FALSE(
+        MatchQueries(d.stored, table.columns(), request, &proof_reason));
+    EXPECT_EQ(proof_reason, d.reason);
+    IntelligentCache cache;
+    cache.Put(d.stored, table, 10.0);
+    EXPECT_FALSE(cache.LookupHit(request).has_value());
+    EXPECT_EQ(cache.stats().miss_reasons[static_cast<int>(d.reason)], 1);
+    add_stats(cache);
+  }
+  {
+    IntelligentCache cache;
+    for (const Decoy& d : decoys) {
+      cache.Put(d.stored, LayoutTable(d.stored, 2, 1), 10.0);
+    }
+    EXPECT_FALSE(cache.LookupHit(request).has_value());  // measure stage
+    ResultTable match_table = LayoutTable(match, 3, 7);
+    cache.Put(match, match_table, 10.0);
+    auto hit = cache.LookupHit(request);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_FALSE(hit->exact);
+    auto plan = MatchQueries(match, match_table.columns(), request);
+    ASSERT_TRUE(plan.has_value());
+    auto expected = ApplyMatchPlan(match_table, *plan, request);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(*hit->table, *expected);
+    add_stats(cache);
+  }
+  {
+    // Past the freshness TTL the proof's success does not count.
+    IntelligentCacheOptions options;
+    options.fresh_ttl_ms = 0.001;
+    IntelligentCache cache(options);
+    for (const Decoy& d : decoys) {
+      cache.Put(d.stored, LayoutTable(d.stored, 2, 1), 10.0);
+    }
+    cache.Put(match, LayoutTable(match, 3, 7), 10.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_FALSE(cache.LookupHit(request).has_value());
+    add_stats(cache);
+  }
+
+  std::array<int64_t, kNumMissReasons> expected{};
+  expected[static_cast<int>(MissReason::kNoCandidate)] = 1;
+  expected[static_cast<int>(MissReason::kStoredTopN)] = 1;
+  expected[static_cast<int>(MissReason::kDimensionNotStored)] = 2;
+  expected[static_cast<int>(MissReason::kFiltersNotImplied)] = 2;
+  expected[static_cast<int>(MissReason::kResidualNotGrouped)] = 1;
+  expected[static_cast<int>(MissReason::kMeasureNotDerivable)] = 2;
+  expected[static_cast<int>(MissReason::kEntryStale)] = 1;
+  EXPECT_EQ(tally, expected);
+}
+
+// Seeded sweep over one (source, view) bucket: LookupHit must agree with a
+// brute-force MatchQueries loop over every stored descriptor on hit or
+// miss, on the miss reason, and on which entry serves the hit, under both
+// strategies. Dimension and filter columns come from 80 names, more than
+// the signature's 64 bits, so some names share a bit and only the full
+// proof can tell them apart.
+class PrefilterSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(PrefilterSweep, LookupAgreesWithBruteForceMatch) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam() / 2) + 1;
+  const MatchStrategy strategy = GetParam() % 2 == 0
+                                     ? MatchStrategy::kFirstMatch
+                                     : MatchStrategy::kLeastPostProcessing;
+  Rng rng(seed);
+  constexpr int kColumns = 80;
+  auto column = [&rng] {
+    std::string name = "c";
+    name += std::to_string(rng.Below(kColumns));
+    return name;
+  };
+  auto value_set = [&rng] {
+    std::vector<Value> values;
+    for (const char* v : {"a", "b", "c"}) {
+      if (rng.Chance(0.6)) values.push_back(Value(v));
+    }
+    if (values.empty()) values.push_back(Value("a"));
+    return values;
+  };
+  auto add_measure = [&rng, &column](QueryBuilder& b) {
+    switch (rng.Below(6)) {
+      case 0: b.Agg(AggFunc::kSum, "m0"); break;
+      case 1: b.Agg(AggFunc::kCount, "m0"); break;
+      case 2: b.Agg(AggFunc::kMin, "m1"); break;
+      case 3: b.Agg(AggFunc::kMax, "m1"); break;
+      case 4: b.CountAll(); break;
+      default: b.Agg(AggFunc::kCountDistinct, column()); break;
+    }
+  };
+  // Mostly one view, so nearly every entry shares the request's bucket.
+  auto random_query = [&] {
+    QueryBuilder b("src", rng.Chance(0.9) ? "v" : "w");
+    for (int i = 0, n = static_cast<int>(rng.Below(4)); i < n; ++i) {
+      b.Dim(column());
+    }
+    for (int i = 0, n = 1 + static_cast<int>(rng.Below(3)); i < n; ++i) {
+      add_measure(b);
+    }
+    for (int i = 0, n = static_cast<int>(rng.Below(3)); i < n; ++i) {
+      b.FilterIn(column(), value_set());
+    }
+    AbstractQuery q = b.Build();
+    if (rng.Chance(0.1)) {
+      q.order_by.push_back({q.measures[0].EffectiveAlias(), false});
+      q.limit = 2;
+    }
+    return q;
+  };
+  // A request near `s`: a subset of its dimensions and measures, its
+  // filters narrowed, sometimes a residual filter or a stray column.
+  auto near_query = [&](const AbstractQuery& s) {
+    QueryBuilder b(s.data_source, s.view);
+    for (const std::string& d : s.dimensions) {
+      if (rng.Chance(0.7)) b.Dim(d);
+    }
+    if (rng.Chance(0.15)) b.Dim(column());
+    for (const query::Measure& m : s.measures) {
+      if (rng.Chance(0.7)) b.Agg(m.func, m.column);
+    }
+    if (rng.Chance(0.2)) add_measure(b);
+    for (const query::ColumnPredicate& p : s.filters.predicates) {
+      if (rng.Chance(0.1)) continue;  // drop: weaker than stored
+      if (p.kind == query::ColumnPredicate::Kind::kInSet && rng.Chance(0.5)) {
+        b.FilterIn(p.column, {p.values[rng.Below(p.values.size())]});
+      } else {
+        b.FilterIn(p.column, p.values);
+      }
+    }
+    if (rng.Chance(0.3) && !s.dimensions.empty()) {
+      b.FilterIn(s.dimensions[rng.Below(s.dimensions.size())], value_set());
+    }
+    if (rng.Chance(0.1)) b.FilterIn(column(), value_set());
+    AbstractQuery q = b.Build();
+    if (q.measures.empty()) q.measures.push_back({AggFunc::kCountStar, "", ""});
+    return q;
+  };
+
+  IntelligentCacheOptions options;
+  options.strategy = strategy;
+  IntelligentCache cache(options);
+  struct Stored {
+    AbstractQuery q;
+    ResultTable table;
+  };
+  std::vector<Stored> stored;  // insertion order, keys unique
+  for (int i = 0; i < 40; ++i) {
+    AbstractQuery q = random_query();
+    bool duplicate = false;
+    for (const Stored& s : stored) {
+      if (s.q.ToKeyString() == q.ToKeyString()) duplicate = true;
+    }
+    if (duplicate) continue;
+    ResultTable table =
+        LayoutTable(q, 1 + static_cast<int>(rng.Below(4)), 10 * i);
+    cache.Put(q, table, 10.0);
+    stored.push_back({std::move(q), std::move(table)});
+  }
+
+  int hits = 0, misses = 0;
+  for (int i = 0; i < 150; ++i) {
+    AbstractQuery q = rng.Chance(0.7)
+                          ? near_query(stored[rng.Below(stored.size())].q)
+                          : random_query();
+    SCOPED_TRACE(q.ToKeyString());
+    // Brute force: every stored descriptor of the bucket, in order.
+    const Stored* exact = nullptr;
+    const Stored* winner = nullptr;
+    MatchPlan winner_plan;
+    MissReason reason = MissReason::kNoCandidate;
+    for (const Stored& s : stored) {
+      if (s.q.data_source != q.data_source || s.q.view != q.view) continue;
+      MissReason r = MissReason::kNone;
+      auto plan = MatchQueries(s.q, s.table.columns(), q, &r);
+      if (!plan.has_value()) {
+        reason = std::max(reason, r);
+        continue;
+      }
+      if (plan->exact) {
+        exact = &s;
+        continue;
+      }
+      plan->post_cost = (plan->post_cost + 1) * s.table.num_rows();
+      if (winner == nullptr ||
+          (strategy == MatchStrategy::kLeastPostProcessing &&
+           plan->post_cost < winner_plan.post_cost)) {
+        winner = &s;
+        winner_plan = *plan;
+      }
+    }
+
+    CacheStats before = cache.stats();
+    auto hit = cache.LookupHit(q);
+    CacheStats after = cache.stats();
+    if (exact != nullptr) {
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_TRUE(hit->exact);
+      EXPECT_EQ(*hit->table, exact->table);
+      ++hits;
+    } else if (winner != nullptr) {
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_FALSE(hit->exact);
+      auto expected = ApplyMatchPlan(winner->table, winner_plan, q);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_EQ(*hit->table, *expected);
+      ++hits;
+    } else {
+      EXPECT_FALSE(hit.has_value());
+      for (int r = 0; r < kNumMissReasons; ++r) {
+        EXPECT_EQ(after.miss_reasons[r] - before.miss_reasons[r],
+                  r == static_cast<int>(reason) ? 1 : 0)
+            << "reason " << MissReasonToString(static_cast<MissReason>(r));
+      }
+      ++misses;
+    }
+  }
+  // Both outcomes are exercised on every seed.
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsByStrategy, PrefilterSweep,
+                         ::testing::Range(0, 16));
 
 }  // namespace
 }  // namespace vizq::cache
