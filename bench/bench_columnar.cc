@@ -30,6 +30,18 @@
 //   * dep_hour     — an int64 key (dense over its stats range);
 //   * airline_name — the dimension attribute behind the carriers join.
 //
+// A fourth set is the explore sessions' filter action: the five bottom
+// Figure-1 zones (Airlines, DestAirports, CancellationsByWeekday,
+// DelayByHour, TotalCount) under an OriginMap + DestMap selection,
+// compiled from the dashboard as the service sends them. Each carries two
+// token-bitmap conjuncts (origin_state, dest_state);
+// CancellationsByWeekday adds the per-run conjunct on `cancelled`. One
+// round runs the five zones serially.
+//
+// Beside wall times, --emit-json records EXPLAIN ANALYZE self time (a
+// node's wall time minus its children's) of every dense Aggregate and
+// encoded Select over the explore shapes and one filter-action round.
+//
 // --emit-json=PATH writes BENCH_columnar.json (with --git-sha=SHA for the
 // record's commit) and enforces the acceptance bars: >=5x on the
 // dictionary-key group-by, >=10x on the selective RLE-run filter, and
@@ -49,9 +61,12 @@
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
+#include "src/query/compiler.h"
 #include "src/tde/engine.h"
+#include "src/tde/exec/analyze.h"
 #include "src/tde/storage/database.h"
 #include "src/tde/storage/table.h"
+#include "src/workload/flights_dashboards.h"
 
 #ifndef VIZQ_BUILD_TYPE
 #define VIZQ_BUILD_TYPE "unknown"
@@ -127,6 +142,38 @@ const std::vector<ExploreShape>& ExploreShapes() {
   return *shapes;
 }
 
+struct ZonePlan {
+  std::string zone;
+  tde::LogicalOpPtr plan;
+};
+
+// The filter action's five zone queries, compiled for the TDE.
+const std::vector<ZonePlan>& FilterActionPlans(const tde::Database& db) {
+  static const std::vector<ZonePlan>* plans = [&db] {
+    auto* out = new std::vector<ZonePlan>;
+    dashboard::Dashboard fig1 = workload::BuildFigure1Dashboard("faa");
+    dashboard::InteractionState state;
+    state.Select("OriginMap", "origin_state", {Value("CA")});
+    state.Select("DestMap", "dest_state", {Value("TX"), Value("NY")});
+    query::QueryCompiler compiler(workload::FlightsStarView(),
+                                  query::Capabilities::Tde(),
+                                  query::SqlDialect::Ansi(), &db);
+    for (const std::string& zone : fig1.ActionTargets("OriginMap")) {
+      auto q = fig1.BuildZoneQuery(zone, state);
+      auto compiled = q.ok() ? compiler.Compile(*q)
+                             : StatusOr<query::CompiledQuery>(q.status());
+      if (!compiled.ok()) {
+        std::fprintf(stderr, "filter action %s: %s\n", zone.c_str(),
+                     compiled.status().ToString().c_str());
+        std::exit(1);
+      }
+      out->push_back({zone, compiled->plan});
+    }
+    return out;
+  }();
+  return *plans;
+}
+
 // Every optimizer default except the encoded-exec switch.
 tde::QueryOptions ExploreOptions(bool encoded) {
   tde::QueryOptions o = tde::QueryOptions::Serial();
@@ -145,12 +192,13 @@ tde::QueryOptions BenchOptions(bool encoded) {
 }
 
 // Best-of-`reps` wall milliseconds (first run is a discarded warmup).
-double TimeQuery(tde::TdeEngine& engine, const std::string& tql,
+template <typename Query>
+double TimeQuery(tde::TdeEngine& engine, const Query& query,
                  const tde::QueryOptions& options, int reps = 5) {
   double best = 1e300;
   for (int i = 0; i <= reps; ++i) {
     auto t0 = std::chrono::steady_clock::now();
-    auto result = engine.Execute(tql, options);
+    auto result = engine.Execute(query, options);
     auto t1 = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
@@ -161,6 +209,39 @@ double TimeQuery(tde::TdeEngine& engine, const std::string& tql,
     if (i > 0) best = std::min(best, ms);
   }
   return best;
+}
+
+// EXPLAIN ANALYZE self time of the encoded operators of one query.
+struct OperatorSelfMs {
+  double dense_aggregate = 0;
+  double encoded_select = 0;
+  bool saw_dense = false;
+};
+
+template <typename Query>
+OperatorSelfMs AnalyzeSelfMs(tde::TdeEngine& engine, const Query& query) {
+  tde::QueryOptions o = ExploreOptions(/*encoded=*/true);
+  o.collect_analysis = true;
+  auto run = engine.Execute(query, o);
+  if (!run.ok()) {
+    std::fprintf(stderr, "analyze run failed: %s\n",
+                 run.status().ToString().c_str());
+    std::exit(1);
+  }
+  OperatorSelfMs out;
+  run->analysis->ForEach([&out](const tde::PlanNodeStats& node) {
+    double self = node.wall_ms();
+    for (const tde::PlanNodeStats* c : node.children) self -= c->wall_ms();
+    if (node.label.rfind("Aggregate", 0) == 0 &&
+        node.label.find(" dense") != std::string::npos) {
+      out.dense_aggregate += self;
+      out.saw_dense = true;
+    } else if (node.label.rfind("Select", 0) == 0 &&
+               node.label.find("[encoded]") != std::string::npos) {
+      out.encoded_select += self;
+    }
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -208,6 +289,22 @@ BENCHMARK(BM_ExploreShape)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+// One filter-action round (five zones, serial); range(0): 1 = encoded.
+void BM_FilterActionRound(benchmark::State& state) {
+  std::shared_ptr<tde::Database> db = benchutil::FaaDb(kExploreRows);
+  tde::TdeEngine engine(db);
+  tde::QueryOptions options = ExploreOptions(state.range(0) == 1);
+  for (auto _ : state) {
+    for (const ZonePlan& z : FilterActionPlans(*db)) {
+      auto result = engine.Execute(z.plan, options);
+      if (!result.ok()) state.SkipWithError("query failed");
+      benchmark::DoNotOptimize(result);
+    }
+  }
+  state.SetLabel(state.range(0) == 1 ? "encoded" : "decoded");
+}
+BENCHMARK(BM_FilterActionRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // --emit-json=PATH: the BENCH_columnar.json record (EXPERIMENTS.md E17).
 
@@ -246,7 +343,8 @@ int EmitJson(const std::string& path, const std::string& git_sha) {
   double fl_enc = TimeQuery(engine, kSelectiveFilter, BenchOptions(true));
 
   // Explore shapes: the plan with every default must aggregate dense.
-  tde::TdeEngine faa(benchutil::FaaDb(kExploreRows));
+  std::shared_ptr<tde::Database> faa_db = benchutil::FaaDb(kExploreRows);
+  tde::TdeEngine faa(faa_db);
   struct ExploreTiming {
     double decoded_ms = 0;
     double encoded_ms = 0;
@@ -268,6 +366,37 @@ int EmitJson(const std::string& path, const std::string& git_sha) {
         {TimeQuery(faa, shape.tql, ExploreOptions(false)),
          TimeQuery(faa, shape.tql, ExploreOptions(true))});
   }
+
+  // Filter action: every zone dense, one round = the five zones serially.
+  ExploreTiming action;
+  OperatorSelfMs explore_self;
+  OperatorSelfMs action_self;
+  for (const ExploreShape& shape : ExploreShapes()) {
+    OperatorSelfMs self = AnalyzeSelfMs(faa, shape.tql);
+    explore_self.dense_aggregate += self.dense_aggregate;
+    explore_self.encoded_select += self.encoded_select;
+  }
+  for (const ZonePlan& z : FilterActionPlans(*faa_db)) {
+    OperatorSelfMs self = AnalyzeSelfMs(faa, z.plan);
+    if (!self.saw_dense) {
+      std::fprintf(stderr, "filter action %s: no dense aggregation\n",
+                   z.zone.c_str());
+      return 1;
+    }
+    action_self.dense_aggregate += self.dense_aggregate;
+    action_self.encoded_select += self.encoded_select;
+    action.decoded_ms += TimeQuery(faa, z.plan, ExploreOptions(false));
+    action.encoded_ms += TimeQuery(faa, z.plan, ExploreOptions(true));
+  }
+  std::fprintf(stderr,
+               "  filter action round: decoded %.2f ms, encoded %.2f ms\n"
+               "  self ms (explore shapes): dense aggregate %.3f, encoded "
+               "select %.3f\n"
+               "  self ms (filter action): dense aggregate %.3f, encoded "
+               "select %.3f\n",
+               action.decoded_ms, action.encoded_ms,
+               explore_self.dense_aggregate, explore_self.encoded_select,
+               action_self.dense_aggregate, action_self.encoded_select);
 
   double gb_x = gb_enc > 0 ? gb_dec / gb_enc : 0;
   double gbs_x = gbs_enc > 0 ? gbs_dec / gbs_enc : 0;
@@ -298,7 +427,22 @@ int EmitJson(const std::string& path, const std::string& git_sha) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  char buf[2048];
+  char action_json[512];
+  std::snprintf(
+      action_json, sizeof(action_json),
+      "    \"filter_action_round\": {\"decoded_ms\": %.3f, \"encoded_ms\": "
+      "%.3f, \"speedup_x\": %.2f},\n"
+      "    \"self_ms_explore_shapes\": {\"dense_aggregate\": %.3f, "
+      "\"encoded_select\": %.3f},\n"
+      "    \"self_ms_filter_action\": {\"dense_aggregate\": %.3f, "
+      "\"encoded_select\": %.3f},\n",
+      action.decoded_ms, action.encoded_ms,
+      action.encoded_ms > 0 ? action.decoded_ms / action.encoded_ms : 0,
+      explore_self.dense_aggregate, explore_self.encoded_select,
+      action_self.dense_aggregate, action_self.encoded_select);
+  explore_json += action_json;
+
+  char buf[3072];
   std::snprintf(
       buf, sizeof(buf),
       "{\n"
@@ -308,7 +452,10 @@ int EmitJson(const std::string& path, const std::string& git_sha) {
       "  \"workload\": \"%lld rows sorted by %d-value dict key; %d-run rle "
       "filter column; serial, streaming-agg and rle-index off. explore_*: "
       "%lld-row FAA extract, 13-of-14 carrier quick filter, serial, every "
-      "optimizer default\",\n"
+      "optimizer default. filter_action_round: the five bottom Figure-1 "
+      "zones under origin_state=CA + dest_state in (TX, NY), serial. "
+      "self_ms_*: EXPLAIN ANALYZE self time of the dense Aggregate and "
+      "encoded Select nodes, one run each\",\n"
       "  \"metrics\": {\n"
       "    \"groupby_count\": {\"decoded_ms\": %.3f, \"encoded_ms\": %.3f, "
       "\"speedup_x\": %.2f},\n"

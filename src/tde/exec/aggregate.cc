@@ -545,28 +545,124 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
   return OkStatus();
 }
 
+namespace {
+
+// A flat argument's payload, read by the dense kernels.
+struct ArgView {
+  const int64_t* ints = nullptr;
+  const double* doubles = nullptr;  // set for float64 arguments
+  const uint8_t* nulls = nullptr;   // null when the vector has no nulls
+};
+
+ArgView FlatView(const ColumnVector& a, const ColumnVector& payload) {
+  ArgView v;
+  if (a.type.kind == TypeKind::kFloat64) {
+    v.doubles = payload.doubles.data();
+  } else {
+    v.ints = payload.ints.data();
+  }
+  v.nulls = a.has_nulls() ? a.nulls.data() : nullptr;
+  return v;
+}
+
+// Folds COUNT / SUM / AVG of a flat argument into `acc`: live row j is
+// physical row row_of(j) of group group_of(j). One loop per function and
+// null layout, rows in order, so every sum adds exactly what the hash path
+// adds, in the same order.
+template <typename Acc, typename RowOf, typename GroupOf>
+void FoldFlatArg(AggFunc func, const ArgView& a, int64_t m, RowOf row_of,
+                 GroupOf group_of, Acc* acc) {
+  const uint8_t* nulls = a.nulls;
+  int64_t* count = acc->count.data();
+  switch (func) {
+    case AggFunc::kCount:
+      if (nulls == nullptr) {
+        for (int64_t j = 0; j < m; ++j) ++count[group_of(j)];
+      } else {
+        for (int64_t j = 0; j < m; ++j) {
+          count[group_of(j)] += nulls[row_of(j)] == 0;
+        }
+      }
+      return;
+    case AggFunc::kSum: {
+      char* has = acc->has_value.data();
+      if (a.doubles != nullptr) {
+        double* sum = acc->sum_d.data();
+        for (int64_t j = 0; j < m; ++j) {
+          const int64_t r = row_of(j);
+          if (nulls != nullptr && nulls[r] != 0) continue;
+          const int64_t g = group_of(j);
+          sum[g] += a.doubles[r];
+          has[g] = 1;
+        }
+        return;
+      }
+      int64_t* sum = acc->sum_i.data();
+      if (nulls == nullptr) {
+        for (int64_t j = 0; j < m; ++j) {
+          const int64_t g = group_of(j);
+          sum[g] += a.ints[row_of(j)];
+          has[g] = 1;
+        }
+      } else {
+        for (int64_t j = 0; j < m; ++j) {
+          const int64_t r = row_of(j);
+          const int64_t g = group_of(j);
+          const int64_t valid = nulls[r] == 0;
+          sum[g] += a.ints[r] & -valid;
+          has[g] |= static_cast<char>(valid);
+        }
+      }
+      return;
+    }
+    case AggFunc::kAvg: {
+      double* sum = acc->sum_d.data();
+      for (int64_t j = 0; j < m; ++j) {
+        const int64_t r = row_of(j);
+        if (nulls != nullptr && nulls[r] != 0) continue;
+        const int64_t g = group_of(j);
+        sum[g] += a.doubles != nullptr ? a.doubles[r]
+                                       : static_cast<double>(a.ints[r]);
+        ++count[g];
+      }
+      return;
+    }
+    default:
+      return;  // MIN / MAX / COUNTD go through UpdateAccumulator
+  }
+}
+
+// True for the functions FoldFlatArg handles.
+bool FoldsFlat(AggFunc func) {
+  return func == AggFunc::kCount || func == AggFunc::kSum ||
+         func == AggFunc::kAvg;
+}
+
+}  // namespace
+
 Status HashAggregateOperator::ConsumeDense(Batch& in) {
   if (in.num_rows == 0) return OkStatus();
-  const int64_t n = in.num_rows;
   if (cell_to_group_.empty() && dense_.total_cells > 0) {
     cell_to_group_.assign(dense_.total_cells, -1);
   }
-
-  std::vector<const ColumnVector*> keys;
-  keys.reserve(dense_.key_columns.size());
-  for (int c : dense_.key_columns) keys.push_back(&in.columns[c]);
-  std::vector<size_t> key_run(keys.size(), 0);
-
-  // Resolve agg args. Bare column refs stay as-is (possibly run-encoded,
-  // folded below); computed args evaluate through the normal vectorized
-  // path over flat columns.
-  std::vector<const ColumnVector*> args(specs_.size(), nullptr);
-  std::vector<ColumnVector> owned(specs_.size());
+  DenseScratch& d = scratch_;
+  d.keys.clear();
+  bool keys_run_encoded = true;
+  for (int c : dense_.key_columns) {
+    d.keys.push_back(&in.columns[c]);
+    keys_run_encoded = keys_run_encoded && in.columns[c].is_run_encoded();
+  }
+  // Resolve agg args. Bare column refs stay as-is (possibly run-encoded);
+  // computed args evaluate through the normal vectorized path over flat
+  // columns.
+  d.args.assign(specs_.size(), nullptr);
+  d.owned.resize(specs_.size());
+  d.expanded.resize(specs_.size());
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
     if (spec.arg == nullptr) continue;
     if (spec.arg->kind == ExprKind::kColumnRef && spec.arg->column_index >= 0) {
-      args[s] = &in.columns[spec.arg->column_index];
+      d.args[s] = &in.columns[spec.arg->column_index];
       continue;
     }
     // The planner only admits computed args over flat columns; flatten
@@ -574,99 +670,222 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
     std::vector<int> refs;
     spec.arg->CollectColumnIndices(&refs);
     for (int c : refs) in.columns[c].DecodeRuns();
-    VIZQ_ASSIGN_OR_RETURN(owned[s], EvalExpr(*spec.arg, in));
-    args[s] = &owned[s];
+    VIZQ_ASSIGN_OR_RETURN(d.owned[s], EvalExpr(*spec.arg, in));
+    d.args[s] = &d.owned[s];
   }
+  // Without a selection, run-encoded keys (or none: a scalar aggregate)
+  // cut the batch into a few long segments whose runs fold whole.
+  if (!in.has_selection && keys_run_encoded) return ConsumeDenseSegments(in);
+  return ConsumeDenseGroupIds(in);
+}
 
-  // Pass 1: cut the live rows into segments [start, end) on which every
-  // key column is constant — bounded by the enclosing run of each
-  // run-encoded key, one row for flat keys, and by gaps in the selection
-  // vector — and resolve each segment's group through its cell. Runs never
-  // straddle null boundaries, so a segment's first row carries its null
-  // status.
-  struct Segment {
-    int64_t start;
-    int64_t end;
-    int64_t group;
-  };
-  std::vector<Segment> segs;
-  const int32_t* sel = in.has_selection ? in.selection.data() : nullptr;
-  const size_t sel_n = in.selection.size();
-  size_t sel_idx = 0;
-  int64_t pos = sel == nullptr ? 0 : (sel_n > 0 ? sel[0] : n);
-  while (pos < n) {
-    int64_t seg_end = n;
-    int64_t cell = 0;
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const ColumnVector& kc = *keys[k];
-      int64_t value;
-      if (kc.is_run_encoded()) {
-        while (kc.runs[key_run[k]].start + kc.runs[key_run[k]].count <= pos) {
-          ++key_run[k];
-        }
-        const RleRun& r = kc.runs[key_run[k]];
-        value = r.value;
-        seg_end = std::min(seg_end, r.start + r.count);
-      } else {
-        value = kc.ints[pos];
-        seg_end = std::min(seg_end, pos + 1);
-      }
-      uint64_t digit = 0;
-      if (!kc.IsNull(pos)) {
-        // Unsigned subtraction: well-defined for any payload, and a value
-        // below min wraps to a huge offset that the range check rejects.
-        uint64_t offset = static_cast<uint64_t>(value) -
-                          static_cast<uint64_t>(dense_.key_mins[k]);
-        if (offset >= static_cast<uint64_t>(dense_.key_cards[k])) {
-          return Internal("dense aggregate: key value " +
-                          std::to_string(value) +
-                          " outside its planned range");
-        }
-        digit = offset + 1;
-      }
-      cell = cell * (dense_.key_cards[k] + 1) + static_cast<int64_t>(digit);
+int32_t HashAggregateOperator::DenseGroup(uint64_t cell, int64_t row) {
+  int32_t& slot = cell_to_group_[cell];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(main_.num_groups++);
+    for (size_t k = 0; k < scratch_.keys.size(); ++k) {
+      main_.group_store[k].AppendFrom(*scratch_.keys[k], row);
     }
-    if (sel != nullptr) {
-      int64_t end = pos + 1;
-      ++sel_idx;
-      while (end < seg_end && sel_idx < sel_n && sel[sel_idx] == end) {
-        ++end;
-        ++sel_idx;
-      }
-      seg_end = end;
-    }
+    AppendGroupSlots(main_);
+  }
+  return slot;
+}
 
-    int64_t g = cell_to_group_[cell];
-    if (g < 0) {
-      g = main_.num_groups++;
-      for (size_t k = 0; k < keys.size(); ++k) {
-        main_.group_store[k].AppendFrom(*keys[k], pos);
-      }
-      AppendGroupSlots(main_);
-      cell_to_group_[cell] = static_cast<int32_t>(g);
+Status HashAggregateOperator::KeyOutOfRange(size_t k, const int32_t* rows,
+                                            int64_t m) const {
+  const ColumnVector& kc = *scratch_.keys[k];
+  for (int64_t j = 0; j < m; ++j) {
+    if (kc.IsNull(rows[j])) continue;
+    const int64_t value = kc.IntAt(rows[j]);
+    if (static_cast<uint64_t>(value) - static_cast<uint64_t>(dense_.key_mins[k]) >=
+        static_cast<uint64_t>(dense_.key_cards[k])) {
+      return Internal("dense aggregate: key value " + std::to_string(value) +
+                      " outside its planned range");
     }
-    if (!segs.empty() && segs.back().group == g && segs.back().end == pos) {
-      segs.back().end = seg_end;
+  }
+  return Internal("dense aggregate: key value outside its planned range");
+}
+
+Status HashAggregateOperator::ConsumeDenseGroupIds(const Batch& in) {
+  DenseScratch& d = scratch_;
+  const int32_t* rows;
+  int64_t m;
+  if (in.has_selection) {
+    rows = in.selection.data();
+    m = static_cast<int64_t>(in.selection.size());
+  } else {
+    m = in.num_rows;
+    while (static_cast<int64_t>(d.identity.size()) < m) {
+      d.identity.push_back(static_cast<int32_t>(d.identity.size()));
+    }
+    rows = d.identity.data();
+  }
+  if (m == 0) return OkStatus();
+
+  // Pass 1: the mixed-radix cell of every live row, one key at a time:
+  // digit 0 for NULL, value - min + 1 otherwise. Unsigned subtraction is
+  // well-defined for any payload, and a value below min wraps to a huge
+  // offset that the range check rejects.
+  d.cells.assign(m, 0);
+  uint64_t* cells = d.cells.data();
+  for (size_t k = 0; k < d.keys.size(); ++k) {
+    const ColumnVector& kc = *d.keys[k];
+    const uint64_t min = static_cast<uint64_t>(dense_.key_mins[k]);
+    const uint64_t card = static_cast<uint64_t>(dense_.key_cards[k]);
+    const uint64_t radix = card + 1;
+    uint64_t bad = 0;
+    if (kc.is_run_encoded()) {
+      // Runs cover the batch in order, and so do the live rows: one
+      // merge walk gives each live row its run's digit.
+      int64_t j = 0;
+      for (const RleRun& run : kc.runs) {
+        if (j == m) break;
+        const int64_t end = run.start + run.count;
+        if (rows[j] >= end) continue;
+        uint64_t digit = 0;
+        if (!kc.IsNull(run.start)) {
+          const uint64_t off = static_cast<uint64_t>(run.value) - min;
+          bad |= off >= card;
+          digit = off + 1;
+        }
+        do {
+          cells[j] = cells[j] * radix + digit;
+          ++j;
+        } while (j < m && rows[j] < end);
+      }
+    } else if (kc.has_nulls()) {
+      const int64_t* v = kc.ints.data();
+      const uint8_t* nulls = kc.nulls.data();
+      for (int64_t j = 0; j < m; ++j) {
+        const int64_t r = rows[j];
+        const uint64_t off = static_cast<uint64_t>(v[r]) - min;
+        const uint64_t valid = nulls[r] == 0;
+        bad |= valid & static_cast<uint64_t>(off >= card);
+        cells[j] = cells[j] * radix + ((off + 1) & (0 - valid));
+      }
     } else {
-      segs.push_back(Segment{pos, seg_end, g});
+      const int64_t* v = kc.ints.data();
+      for (int64_t j = 0; j < m; ++j) {
+        const uint64_t off = static_cast<uint64_t>(v[rows[j]]) - min;
+        bad |= off >= card;
+        cells[j] = cells[j] * radix + off + 1;
+      }
     }
-    pos = sel == nullptr ? seg_end : (sel_idx < sel_n ? sel[sel_idx] : n);
+    if (bad != 0) return KeyOutOfRange(k, rows, m);
   }
 
-  // Pass 2: one tight loop per aggregate over the segments. Run-encoded
-  // args fold whole runs (one multiply-add per run); flat args update per
-  // row with the function resolved once per batch.
+  // Pass 2: cell -> group id, creating groups in first-seen row order.
+  d.gids.resize(m);
+  int32_t* gids = d.gids.data();
+  const int32_t* cell_group = cell_to_group_.data();
+  for (int64_t j = 0; j < m; ++j) {
+    int32_t g = cell_group[cells[j]];
+    if (g < 0) g = DenseGroup(cells[j], rows[j]);
+    gids[j] = g;
+  }
+
+  // Pass 3: one typed loop per aggregate over the group ids.
+  auto row_of = [rows](int64_t j) { return rows[j]; };
+  auto group_of = [gids](int64_t j) { return gids[j]; };
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
     Accumulator& acc = main_.accums[s];
     if (spec.arg == nullptr) {  // COUNT(*)
-      for (const Segment& seg : segs) acc.count[seg.group] += seg.end - seg.start;
+      int64_t* count = acc.count.data();
+      for (int64_t j = 0; j < m; ++j) ++count[gids[j]];
       continue;
     }
-    const ColumnVector& a = *args[s];
+    const ColumnVector& a = *d.args[s];
+    if (!FoldsFlat(spec.func) && a.is_run_encoded()) {
+      // MIN, MAX and COUNTD take a repeated value once: one update per
+      // stretch of live rows that share a run and a group.
+      size_t ri = 0;
+      size_t last_run = a.runs.size();
+      int32_t last_g = -1;
+      for (int64_t j = 0; j < m; ++j) {
+        while (a.runs[ri].start + a.runs[ri].count <= rows[j]) ++ri;
+        if (ri == last_run && gids[j] == last_g) continue;
+        last_run = ri;
+        last_g = gids[j];
+        UpdateAccumulator(main_, static_cast<int>(s), last_g, a, rows[j]);
+      }
+      continue;
+    }
+    if (!FoldsFlat(spec.func)) {
+      for (int64_t j = 0; j < m; ++j) {
+        UpdateAccumulator(main_, static_cast<int>(s), gids[j], a, rows[j]);
+      }
+      continue;
+    }
+    const ColumnVector* payload = &a;
+    if (a.is_run_encoded() && spec.func != AggFunc::kCount) {
+      ColumnVector& e = d.expanded[s];
+      e.type = a.type;
+      e.runs.assign(a.runs.begin(), a.runs.end());
+      e.run_encoded = true;
+      e.DecodeRuns();
+      payload = &e;
+    }
+    FoldFlatArg(spec.func, FlatView(a, *payload), m, row_of, group_of, &acc);
+  }
+  return OkStatus();
+}
+
+Status HashAggregateOperator::ConsumeDenseSegments(const Batch& in) {
+  DenseScratch& d = scratch_;
+  const int64_t n = in.num_rows;
+  // Pass 1: cut the batch into segments [start, end) on which every key is
+  // constant (bounded by the enclosing run of each key) and resolve each
+  // segment's group through its cell. Runs never straddle null
+  // boundaries, so a segment's first row carries its null status.
+  d.segs.clear();
+  d.key_run.assign(d.keys.size(), 0);
+  int64_t pos = 0;
+  while (pos < n) {
+    int64_t seg_end = n;
+    uint64_t cell = 0;
+    for (size_t k = 0; k < d.keys.size(); ++k) {
+      const ColumnVector& kc = *d.keys[k];
+      size_t& ri = d.key_run[k];
+      while (kc.runs[ri].start + kc.runs[ri].count <= pos) ++ri;
+      const RleRun& r = kc.runs[ri];
+      seg_end = std::min(seg_end, r.start + r.count);
+      uint64_t digit = 0;
+      if (!kc.IsNull(pos)) {
+        const uint64_t off = static_cast<uint64_t>(r.value) -
+                             static_cast<uint64_t>(dense_.key_mins[k]);
+        if (off >= static_cast<uint64_t>(dense_.key_cards[k])) {
+          return Internal("dense aggregate: key value " +
+                          std::to_string(r.value) +
+                          " outside its planned range");
+        }
+        digit = off + 1;
+      }
+      cell = cell * static_cast<uint64_t>(dense_.key_cards[k] + 1) + digit;
+    }
+    const int64_t g = DenseGroup(cell, pos);
+    if (!d.segs.empty() && d.segs.back().group == g) {
+      d.segs.back().end = seg_end;
+    } else {
+      d.segs.push_back(DenseScratch::Segment{pos, seg_end, g});
+    }
+    pos = seg_end;
+  }
+
+  // Pass 2: one loop per aggregate over the segments. Run-encoded args
+  // fold whole runs (one multiply-add per run); flat args run the same
+  // typed loops as the group-id path, one segment at a time.
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    const AggSpec& spec = specs_[s];
+    Accumulator& acc = main_.accums[s];
+    if (spec.arg == nullptr) {  // COUNT(*)
+      for (const auto& seg : d.segs) acc.count[seg.group] += seg.end - seg.start;
+      continue;
+    }
+    const ColumnVector& a = *d.args[s];
     if (a.is_run_encoded()) {
       size_t ri = 0;
-      for (const Segment& seg : segs) {
+      for (const auto& seg : d.segs) {
         while (a.runs[ri].start + a.runs[ri].count <= seg.start) ++ri;
         for (size_t rj = ri; rj < a.runs.size(); ++rj) {
           const RleRun& r = a.runs[rj];
@@ -705,45 +924,19 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
       }
       continue;
     }
-    const bool doubles = a.type.kind == TypeKind::kFloat64;
-    switch (spec.func) {
-      case AggFunc::kCount:
-        for (const Segment& seg : segs) {
-          for (int64_t r = seg.start; r < seg.end; ++r) {
-            acc.count[seg.group] += a.IsNull(r) ? 0 : 1;
-          }
-        }
-        break;
-      case AggFunc::kSum:
-        for (const Segment& seg : segs) {
-          for (int64_t r = seg.start; r < seg.end; ++r) {
-            if (a.IsNull(r)) continue;
-            if (doubles) {
-              acc.sum_d[seg.group] += a.doubles[r];
-            } else {
-              acc.sum_i[seg.group] += a.ints[r];
-            }
-            acc.has_value[seg.group] = 1;
-          }
-        }
-        break;
-      case AggFunc::kAvg:
-        for (const Segment& seg : segs) {
-          for (int64_t r = seg.start; r < seg.end; ++r) {
-            if (a.IsNull(r)) continue;
-            acc.sum_d[seg.group] +=
-                doubles ? a.doubles[r] : static_cast<double>(a.ints[r]);
-            ++acc.count[seg.group];
-          }
-        }
-        break;
-      default:
-        for (const Segment& seg : segs) {
-          for (int64_t r = seg.start; r < seg.end; ++r) {
-            UpdateAccumulator(main_, static_cast<int>(s), seg.group, a, r);
-          }
-        }
-        break;
+    for (const auto& seg : d.segs) {
+      if (FoldsFlat(spec.func)) {
+        const int64_t start = seg.start;
+        const int64_t g = seg.group;
+        FoldFlatArg(
+            spec.func, FlatView(a, a), seg.end - seg.start,
+            [start](int64_t j) { return start + j; },
+            [g](int64_t) { return g; }, &acc);
+        continue;
+      }
+      for (int64_t r = seg.start; r < seg.end; ++r) {
+        UpdateAccumulator(main_, static_cast<int>(s), seg.group, a, r);
+      }
     }
   }
   return OkStatus();

@@ -118,9 +118,38 @@ class HashAggregateOperator : public Operator {
     std::vector<Accumulator> accums;  // one per spec
   };
 
+  // Dense-path scratch, reused across batches.
+  struct DenseScratch {
+    std::vector<const ColumnVector*> keys;
+    std::vector<const ColumnVector*> args;  // per spec; null for COUNT(*)
+    std::vector<ColumnVector> owned;        // computed args, per spec
+    std::vector<ColumnVector> expanded;     // flattened run-encoded args
+    std::vector<int32_t> identity;          // 0..n-1: rows without selection
+    std::vector<uint64_t> cells;            // per live row
+    std::vector<int32_t> gids;              // per live row
+    struct Segment {
+      int64_t start;
+      int64_t end;
+      int64_t group;
+    };
+    std::vector<Segment> segs;
+    std::vector<size_t> key_run;
+  };
+
   GroupTable NewGroupTable() const;
   Status Consume(const Batch& in);
+  // Dense path (DESIGN.md §11): resolves keys and arguments, then takes
+  // ConsumeDenseSegments when whole key runs can be folded, else
+  // ConsumeDenseGroupIds.
   Status ConsumeDense(Batch& in);
+  Status ConsumeDenseGroupIds(const Batch& in);
+  Status ConsumeDenseSegments(const Batch& in);
+  // Group id of dense cell `cell`, creating the group (keys from `row`)
+  // on first sight.
+  int32_t DenseGroup(uint64_t cell, int64_t row);
+  // The kInternal error for the first live row whose key `k` lies outside
+  // its planned range.
+  Status KeyOutOfRange(size_t k, const int32_t* rows, int64_t m) const;
   // Buffers the child's partial states, then merges hash partitions
   // concurrently (falls back to serial Consume below the row threshold).
   Status ConsumeFinalParallel();
@@ -169,6 +198,7 @@ class HashAggregateOperator : public Operator {
   // first-seen-ordered, so emission is identical to the hash path's.
   DenseAggConfig dense_;
   std::vector<int32_t> cell_to_group_;
+  DenseScratch scratch_;
   ExecStats* stats_ = nullptr;
 };
 

@@ -329,4 +329,21 @@ Batch BatchSchema::NewBatch() const {
   return b;
 }
 
+void BatchSchema::ResetBatch(Batch* batch) const {
+  batch->columns.resize(prototypes.size());
+  for (size_t i = 0; i < prototypes.size(); ++i) {
+    ColumnVector& cv = batch->columns[i];
+    cv.type = prototypes[i].type;
+    if (cv.dict != prototypes[i].dict) cv.dict = prototypes[i].dict;
+    cv.ints.clear();
+    cv.doubles.clear();
+    cv.strings.clear();
+    cv.nulls.clear();
+    cv.runs.clear();
+    cv.run_encoded = false;
+  }
+  batch->num_rows = 0;
+  batch->ClearSelection();
+}
+
 }  // namespace vizq::tde

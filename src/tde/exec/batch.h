@@ -150,6 +150,11 @@ struct BatchSchema {
 
   // Creates an empty batch with this schema's layouts.
   Batch NewBatch() const;
+
+  // Turns *batch into an empty batch with this schema's layouts, keeping
+  // the capacity of its payload buffers so a scan that refills the same
+  // Batch every call allocates only on its first batches.
+  void ResetBatch(Batch* batch) const;
 };
 
 }  // namespace vizq::tde

@@ -855,37 +855,32 @@ StatusOr<std::vector<int64_t>> EvalPredicate(const Expr& expr,
   return selected;
 }
 
-StatusOr<TokenMatchBitmap> BuildTokenMatchBitmap(const Expr& expr,
-                                                 int column_index,
-                                                 const ColumnVector& proto) {
-  if (proto.dict == nullptr) {
-    return Internal("token bitmap requires a dictionary column");
+StatusOr<VerdictTable> BuildVerdictTable(const Expr& expr, int column_index,
+                                         const ColumnVector& proto,
+                                         int64_t min, int64_t card) {
+  if (card < 0 || proto.type.kind == TypeKind::kFloat64 ||
+      (proto.type.kind == TypeKind::kString && proto.dict == nullptr)) {
+    return Internal("verdict table requires a token or integer column");
   }
-  TokenMatchBitmap out;
-  int64_t n = proto.dict->size();
-  out.match.assign(n, 0);
+  VerdictTable out;
+  out.min = min;
+  out.card = card;
+  size_t slots = 1;
+  while (slots <= static_cast<size_t>(card)) slots <<= 1;
+  out.match.assign(slots, 0);
 
-  // One synthetic row per distinct token, evaluated by the normal path.
-  Batch tokens;
-  tokens.columns.resize(column_index + 1);
+  // One synthetic row per value, then one NULL row for the null verdict
+  // (IS NULL predicates etc.).
+  Batch values;
+  values.columns.resize(column_index + 1);
   ColumnVector cv = ColumnVector::LayoutLike(proto);
-  cv.Reserve(n);
-  for (int64_t t = 0; t < n; ++t) cv.AppendToken(t);
-  tokens.columns[column_index] = std::move(cv);
-  tokens.num_rows = n;
-  VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> sel, EvalPredicate(expr, tokens));
+  cv.Reserve(card + 1);
+  for (int64_t v = 0; v < card; ++v) cv.ints.push_back(min + v);
+  cv.AppendNull();
+  values.columns[column_index] = std::move(cv);
+  values.num_rows = card + 1;
+  VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> sel, EvalPredicate(expr, values));
   for (int64_t row : sel) out.match[row] = 1;
-
-  // And one NULL row for the null verdict (IS NULL predicates etc.).
-  Batch null_row;
-  null_row.columns.resize(column_index + 1);
-  ColumnVector nv = ColumnVector::LayoutLike(proto);
-  nv.AppendNull();
-  null_row.columns[column_index] = std::move(nv);
-  null_row.num_rows = 1;
-  VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> nsel,
-                        EvalPredicate(expr, null_row));
-  out.null_matches = !nsel.empty();
   return out;
 }
 

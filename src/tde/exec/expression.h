@@ -139,21 +139,33 @@ StatusOr<ColumnVector> EvalExpr(const Expr& expr, const Batch& batch);
 StatusOr<std::vector<int64_t>> EvalPredicate(const Expr& expr,
                                              const Batch& batch);
 
-// Per-token verdicts of a single-column predicate over a dictionary column:
-// match[t] is the predicate's result for token t, null_matches its result
-// for a NULL input. Built by running the normal vectorized evaluator over a
-// synthetic one-row-per-token batch, so the semantics are exactly
-// EvalPredicate's.
-struct TokenMatchBitmap {
-  std::vector<uint8_t> match;
-  bool null_matches = false;
+// Verdicts of a single-column predicate for every payload value of its
+// column: match[v - min] is the result for the non-null value (or dict
+// token) v in [min, min + card), match[card] the result for NULL. Built by
+// running the normal vectorized evaluator over a synthetic one-row-per-value
+// batch, so the semantics are exactly EvalPredicate's; a filter then pays
+// one table load per row or per run. `match` is padded with false to a
+// power of two, so `(v - min) & mask()` stays inside it for any payload
+// (stats bound every stored value, so no lookup ever lands in the padding).
+struct VerdictTable {
+  int64_t min = 0;
+  int64_t card = 0;
+  std::vector<uint8_t> match;  // size a power of two > card
+
+  uint64_t mask() const { return match.size() - 1; }
+  // Slot of the payload `v` (of a non-null row).
+  uint64_t Slot(int64_t v) const {
+    return (static_cast<uint64_t>(v) - static_cast<uint64_t>(min)) & mask();
+  }
 };
 
-// Builds the token bitmap for `expr` (a predicate referencing only column
-// `column_index`) against dict-string layout `proto`.
-StatusOr<TokenMatchBitmap> BuildTokenMatchBitmap(const Expr& expr,
-                                                 int column_index,
-                                                 const ColumnVector& proto);
+// Builds the verdict table of `expr` (a predicate referencing only column
+// `column_index`, laid out like `proto`) over the values [min, min + card):
+// dictionary tokens (min 0, card = dictionary size) or int/date/bool
+// values.
+StatusOr<VerdictTable> BuildVerdictTable(const Expr& expr, int column_index,
+                                         const ColumnVector& proto,
+                                         int64_t min, int64_t card);
 
 // Evaluates `expr` (a predicate referencing only column `column_index`)
 // once per run of run-encoded vector `cv`: out[i] is the verdict for

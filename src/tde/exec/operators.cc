@@ -1,7 +1,10 @@
 #include "src/tde/exec/operators.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <map>
+#include <utility>
 
 namespace vizq::tde {
 
@@ -45,6 +48,18 @@ double ExecStats::StageCriticalPathSeconds(int stage) const {
   return SectionedCriticalPath(fractions, stage);
 }
 
+void ScanCounters::FlushTo(ExecStats* stats) {
+  if (stats != nullptr && (batches > 0 || morsels_claimed > 0)) {
+    std::lock_guard<std::mutex> lock(stats->mu);
+    stats->rows_scanned += rows_scanned;
+    stats->encoded_rows_undecoded += encoded_rows_undecoded;
+    stats->batches += batches;
+    stats->morsels_claimed += morsels_claimed;
+    if (morsels_claimed > 0) stats->used_morsel_scan = true;
+  }
+  *this = ScanCounters{};
+}
+
 FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate)
     : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
@@ -58,106 +73,198 @@ void FilterOperator::EnableEncodedFilter(std::vector<EncodedConjunct> conjuncts,
 Status FilterOperator::Open() {
   VIZQ_RETURN_IF_ERROR(child_->Open());
   if (!encoded_) return OkStatus();
-  bitmaps_.clear();
-  bitmaps_.resize(conjuncts_.size());
+  verdicts_.assign(conjuncts_.size(), VerdictTable{});
   const BatchSchema& in = child_->schema();
   for (size_t i = 0; i < conjuncts_.size(); ++i) {
     const EncodedConjunct& c = conjuncts_[i];
-    if (c.kind != EncodedConjunct::Kind::kTokenBitmap) continue;
-    VIZQ_ASSIGN_OR_RETURN(bitmaps_[i],
-                          BuildTokenMatchBitmap(*c.expr, c.column_index,
-                                                in.prototypes[c.column_index]));
+    if (c.kind == EncodedConjunct::Kind::kTokenBitmap) {
+      const ColumnVector& proto = in.prototypes[c.column_index];
+      const int64_t tokens =
+          proto.dict != nullptr ? static_cast<int64_t>(proto.dict->size()) : 0;
+      VIZQ_ASSIGN_OR_RETURN(
+          verdicts_[i],
+          BuildVerdictTable(*c.expr, c.column_index, proto, 0, tokens));
+    } else if (c.kind == EncodedConjunct::Kind::kPerRun && c.value_card > 0) {
+      VIZQ_ASSIGN_OR_RETURN(
+          verdicts_[i],
+          BuildVerdictTable(*c.expr, c.column_index,
+                            in.prototypes[c.column_index], c.value_min,
+                            c.value_card));
+    }
   }
   return OkStatus();
 }
 
+namespace {
+
+// A verdict-table conjunct over a flat column, as the row kernels read it.
+struct FlatVerdicts {
+  const int64_t* values = nullptr;
+  const uint8_t* nulls = nullptr;  // null when the column has no NULLs
+  const uint8_t* match = nullptr;
+  uint64_t min = 0;
+  uint64_t mask = 0;
+  uint64_t null_slot = 0;
+
+  FlatVerdicts() = default;
+  FlatVerdicts(const VerdictTable& t, const ColumnVector& cv)
+      : values(cv.ints.data()),
+        nulls(cv.has_nulls() ? cv.nulls.data() : nullptr),
+        match(t.match.data()),
+        min(static_cast<uint64_t>(t.min)),
+        mask(t.mask()),
+        null_slot(static_cast<uint64_t>(t.card)) {}
+
+  template <bool kNulls>
+  uint8_t At(int64_t r) const {
+    const uint64_t slot = (static_cast<uint64_t>(values[r]) - min) & mask;
+    if constexpr (kNulls) return match[nulls[r] != 0 ? null_slot : slot];
+    return match[slot];
+  }
+};
+
+// live[r] &= f's verdict for row r.
+template <bool kNulls>
+void AndVerdicts(const FlatVerdicts& f, int64_t n, uint8_t* live) {
+  for (int64_t r = 0; r < n; ++r) live[r] &= f.At<kNulls>(r);
+}
+
+// The selection kernel: writes every row index and advances only past rows
+// that `live` (when kSeeded) and the one or two conjuncts accept — no
+// branch per row. Returns the survivors.
+template <bool kSeeded, bool kTwo, bool kNulls0, bool kNulls1>
+int64_t SelectRows(const uint8_t* live, const FlatVerdicts* f, int64_t n,
+                   int32_t* out) {
+  int64_t k = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    uint8_t ok = f[0].At<kNulls0>(r);
+    if constexpr (kTwo) ok &= f[1].At<kNulls1>(r);
+    if constexpr (kSeeded) ok &= live[r];
+    out[k] = static_cast<int32_t>(r);
+    k += ok;
+  }
+  return k;
+}
+
+using SelectRowsFn = int64_t (*)(const uint8_t*, const FlatVerdicts*, int64_t,
+                                 int32_t*);
+
+template <int... I>
+constexpr std::array<SelectRowsFn, sizeof...(I)> SelectRowsTable(
+    std::integer_sequence<int, I...>) {
+  return {&SelectRows<(I & 8) != 0, (I & 4) != 0, (I & 2) != 0,
+                      (I & 1) != 0>...};
+}
+
+constexpr std::array<SelectRowsFn, 16> kSelectRows =
+    SelectRowsTable(std::make_integer_sequence<int, 16>());
+
+}  // namespace
+
 StatusOr<bool> FilterOperator::NextEncoded(Batch* batch) {
-  Batch in;
   while (true) {
-    VIZQ_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
+    VIZQ_ASSIGN_OR_RETURN(bool more, child_->Next(&in_));
     if (!more) return false;
-    if (in.num_rows == 0) continue;
-    // Live mask over physical rows, seeded from any incoming selection.
-    std::vector<uint8_t> live;
-    if (in.has_selection) {
-      live.assign(in.num_rows, 0);
-      for (int32_t r : in.selection) live[r] = 1;
-    } else {
-      live.assign(in.num_rows, 1);
+    const int64_t n = in_.num_rows;
+    if (n == 0) continue;
+    // Verdict-table conjuncts over flat columns run fused into the
+    // selection kernel below. Every other conjunct clears rows of a live
+    // mask (0 or 1 per physical row), seeded from any incoming selection.
+    flat_.clear();
+    bool seeded = in_.has_selection;
+    if (seeded) {
+      live_.assign(n, 0);
+      for (int32_t r : in_.selection) live_[r] = 1;
     }
+    auto seed = [&] {
+      if (!seeded) live_.assign(n, 1);
+      seeded = true;
+    };
     for (size_t i = 0; i < conjuncts_.size(); ++i) {
       const EncodedConjunct& c = conjuncts_[i];
-      ColumnVector* cv =
-          c.column_index >= 0 ? &in.columns[c.column_index] : nullptr;
-      switch (c.kind) {
-        case EncodedConjunct::Kind::kTokenBitmap: {
-          const TokenMatchBitmap& bm = bitmaps_[i];
-          if (cv->is_run_encoded()) {
-            for (const RleRun& r : cv->runs) {
-              bool ok = cv->IsNull(r.start) ? bm.null_matches
-                                            : bm.match[r.value] != 0;
-              if (ok) continue;
-              std::fill(live.begin() + r.start,
-                        live.begin() + r.start + r.count, 0);
-            }
-          } else {
-            for (int64_t r = 0; r < in.num_rows; ++r) {
-              if (!live[r]) continue;
-              bool ok = cv->IsNull(r) ? bm.null_matches
-                                      : bm.match[cv->ints[r]] != 0;
-              if (!ok) live[r] = 0;
-            }
-          }
-          break;
+      const VerdictTable& table = verdicts_[i];
+      const bool has_table = !table.match.empty();
+      if (has_table && !in_.columns[c.column_index].is_run_encoded()) {
+        flat_.emplace_back(&table, &in_.columns[c.column_index]);
+        continue;
+      }
+      seed();
+      uint8_t* live = live_.data();
+      if (has_table || (c.kind == EncodedConjunct::Kind::kPerRun &&
+                        in_.columns[c.column_index].is_run_encoded())) {
+        // Run-encoded: one verdict per run, from the table or evaluated.
+        const ColumnVector& cv = in_.columns[c.column_index];
+        std::vector<uint8_t> evaluated;
+        if (!has_table) {
+          VIZQ_ASSIGN_OR_RETURN(
+              evaluated, EvalPredicatePerRun(*c.expr, c.column_index, cv));
         }
-        case EncodedConjunct::Kind::kPerRun: {
-          if (cv->is_run_encoded()) {
-            VIZQ_ASSIGN_OR_RETURN(
-                std::vector<uint8_t> verdicts,
-                EvalPredicatePerRun(*c.expr, c.column_index, *cv));
-            for (size_t k = 0; k < cv->runs.size(); ++k) {
-              if (verdicts[k]) continue;
-              const RleRun& r = cv->runs[k];
-              std::fill(live.begin() + r.start,
-                        live.begin() + r.start + r.count, 0);
-            }
-            break;
-          }
-          [[fallthrough]];  // batch arrived flat: evaluate per row
+        for (size_t k = 0; k < cv.runs.size(); ++k) {
+          const RleRun& run = cv.runs[k];
+          const uint8_t ok =
+              !has_table ? evaluated[k]
+              : cv.IsNull(run.start)
+                  ? table.match[table.card]
+                  : table.match[table.Slot(run.value)];
+          if (ok == 0) std::memset(live + run.start, 0, run.count);
         }
-        case EncodedConjunct::Kind::kPerRow: {
-          // The planner only classifies kPerRow for conjuncts over flat
-          // columns; flatten defensively in case a run reached us anyway.
-          std::vector<int> refs;
-          c.expr->CollectColumnIndices(&refs);
-          for (int col : refs) in.columns[col].DecodeRuns();
-          VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> sel,
-                                EvalPredicate(*c.expr, in));
-          std::vector<uint8_t> match(in.num_rows, 0);
-          for (int64_t r : sel) match[r] = 1;
-          for (int64_t r = 0; r < in.num_rows; ++r) {
-            if (live[r] && !match[r]) live[r] = 0;
-          }
-          break;
-        }
+        continue;
+      }
+      // Per row (or a kPerRun column that arrived flat). The planner only
+      // classifies kPerRow for conjuncts over flat columns; flatten
+      // defensively in case a run reached us anyway.
+      std::vector<int> refs;
+      c.expr->CollectColumnIndices(&refs);
+      for (int col : refs) in_.columns[col].DecodeRuns();
+      VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> sel,
+                            EvalPredicate(*c.expr, in_));
+      size_t k = 0;
+      for (int64_t r = 0; r < n; ++r) {
+        const bool match = k < sel.size() && sel[k] == r;
+        k += match;
+        live[r] &= static_cast<uint8_t>(match);
       }
     }
-    int64_t survivors = 0;
-    for (int64_t r = 0; r < in.num_rows; ++r) survivors += live[r];
-    if (survivors == 0) {
-      *batch = Batch{};
-      return true;  // empty batch; caller loops
+    // The kernel takes two flat conjuncts; fold any others into the mask.
+    while (flat_.size() > 2) {
+      seed();
+      const FlatVerdicts f(*flat_.back().first, *flat_.back().second);
+      if (f.nulls != nullptr) {
+        AndVerdicts<true>(f, n, live_.data());
+      } else {
+        AndVerdicts<false>(f, n, live_.data());
+      }
+      flat_.pop_back();
     }
-    *batch = std::move(in);
-    if (survivors == batch->num_rows) {
+    selection_.resize(n);
+    int32_t* out = selection_.data();
+    int64_t survivors = 0;
+    if (flat_.empty()) {
+      seed();
+      for (int64_t r = 0; r < n; ++r) {
+        out[survivors] = static_cast<int32_t>(r);
+        survivors += live_[r];
+      }
+    } else {
+      const bool two = flat_.size() == 2;
+      const FlatVerdicts f[2] = {
+          FlatVerdicts(*flat_[0].first, *flat_[0].second),
+          two ? FlatVerdicts(*flat_[1].first, *flat_[1].second)
+              : FlatVerdicts()};
+      const int fn = (seeded ? 8 : 0) | (two ? 4 : 0) |
+                     (f[0].nulls != nullptr ? 2 : 0) |
+                     (f[1].nulls != nullptr ? 1 : 0);
+      survivors =
+          kSelectRows[fn](seeded ? live_.data() : nullptr, f, n, out);
+    }
+    if (survivors == 0) continue;  // nothing left: pull the next batch
+    std::swap(*batch, in_);
+    if (survivors == n) {
       batch->ClearSelection();
       return true;
     }
-    batch->selection.clear();
-    batch->selection.reserve(survivors);
-    for (int64_t r = 0; r < batch->num_rows; ++r) {
-      if (live[r]) batch->selection.push_back(static_cast<int32_t>(r));
-    }
+    batch->selection.swap(selection_);
+    batch->selection.resize(survivors);
     batch->has_selection = true;
     return true;
   }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/exec_context.h"
@@ -95,6 +96,19 @@ struct ExecStats {
   std::atomic<int> next_section_{0};
 };
 
+// What a scan counts while it runs. Parallel fractions each keep their own
+// and add them to ExecStats once (end of stream or Close), so no batch
+// takes the stats mutex.
+struct ScanCounters {
+  int64_t rows_scanned = 0;
+  int64_t encoded_rows_undecoded = 0;
+  int64_t batches = 0;
+  int64_t morsels_claimed = 0;
+
+  // Adds the counts to `stats` (if any) and zeroes them.
+  void FlushTo(ExecStats* stats);
+};
+
 // Base class of all physical operators.
 class Operator {
  public:
@@ -127,6 +141,11 @@ struct EncodedConjunct {
   ExprPtr expr;           // bound against the filter's child schema
   int column_index = -1;  // the column driving kTokenBitmap / kPerRun
   Kind kind = Kind::kPerRow;
+  // kPerRun over an int/date/bool column whose stats range is small: the
+  // filter builds a verdict table over [value_min, value_min + value_card)
+  // once at Open instead of evaluating the runs of every batch. 0 = none.
+  int64_t value_min = 0;
+  int64_t value_card = 0;
 };
 
 // --- Filter (the TQL Select operator): streaming predicate evaluation ---
@@ -138,8 +157,8 @@ class FilterOperator : public Operator {
   // Switches to encoded mode: instead of materializing the surviving rows,
   // Next() moves the child batch through with a selection vector attached,
   // evaluating each conjunct once per dictionary token (kTokenBitmap), once
-  // per RLE run (kPerRun), or per row (kPerRow). The downstream operator
-  // must be selection-aware (the planner guarantees this).
+  // per value or RLE run (kPerRun), or per row (kPerRow). The downstream
+  // operator must be selection-aware (the planner guarantees this).
   void EnableEncodedFilter(std::vector<EncodedConjunct> conjuncts,
                            ExecStats* stats);
 
@@ -155,9 +174,17 @@ class FilterOperator : public Operator {
   ExprPtr predicate_;
   bool encoded_ = false;
   std::vector<EncodedConjunct> conjuncts_;
-  // Parallel to conjuncts_; populated at Open for kTokenBitmap entries.
-  std::vector<TokenMatchBitmap> bitmaps_;
+  // Parallel to conjuncts_: verdict tables built at Open for kTokenBitmap
+  // entries and table-backed kPerRun entries (empty match otherwise).
+  std::vector<VerdictTable> verdicts_;
   ExecStats* stats_ = nullptr;
+  // Scratch reused across batches: the child's batch (swapped with the
+  // caller's, so both keep their buffers), the live-row mask, the flat
+  // verdict-table conjuncts of this batch and the selection being built.
+  Batch in_;
+  std::vector<uint8_t> live_;
+  std::vector<std::pair<const VerdictTable*, const ColumnVector*>> flat_;
+  std::vector<int32_t> selection_;
 };
 
 // --- Project: computes named expressions over the child ---

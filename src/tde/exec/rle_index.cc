@@ -102,61 +102,25 @@ Status RleIndexScanOperator::Open() {
   range_idx_ = 0;
   offset_in_range_ = 0;
   delta_cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
+  counters_ = ScanCounters{};
   return OkStatus();
 }
 
-namespace {
-
-// Appends `piece` to `out`, moving it when `out` is still empty (the
-// batch's first piece).
-template <typename T>
-void AppendPiece(std::vector<T>&& piece, std::vector<T>* out) {
-  if (out->empty()) {
-    *out = std::move(piece);
-  } else {
-    out->insert(out->end(), std::make_move_iterator(piece.begin()),
-                std::make_move_iterator(piece.end()));
-  }
+Status RleIndexScanOperator::Close() {
+  counters_.FlushTo(stats_);
+  return OkStatus();
 }
-
-// Appends rows [start, start + count) of `col` to the flat payload of `cv`.
-void AppendDecoded(const Column& col, int64_t start, int64_t count,
-                   Column::DecodeCursor* cursor, ColumnVector* cv) {
-  switch (cv->type.kind) {
-    case TypeKind::kFloat64: {
-      std::vector<double> piece;
-      col.DecodeDoubles(start, count, &piece, nullptr);
-      AppendPiece(std::move(piece), &cv->doubles);
-      return;
-    }
-    case TypeKind::kString:
-      if (cv->dict == nullptr) {
-        std::vector<std::string> piece;
-        col.DecodeStrings(start, count, &piece, nullptr);
-        AppendPiece(std::move(piece), &cv->strings);
-        return;
-      }
-      break;  // dictionary tokens travel as ints
-    default:
-      break;
-  }
-  std::vector<int64_t> piece;
-  col.DecodeIntsResumable(cursor, start, count, &piece, nullptr);
-  AppendPiece(std::move(piece), &cv->ints);
-}
-
-}  // namespace
 
 StatusOr<bool> RleIndexScanOperator::Next(Batch* batch) {
   // Pack the surviving ranges (or pieces of them) into one full batch.
-  std::vector<RowRange> pieces;
+  pieces_.clear();
   int64_t count = 0;
   while (count < kBatchRows && range_idx_ < ranges_.size()) {
     const RowRange& range = ranges_[range_idx_];
     int64_t take =
         std::min(kBatchRows - count, range.count - offset_in_range_);
     if (take > 0) {
-      pieces.push_back(RowRange{range.start + offset_in_range_, take});
+      pieces_.push_back(RowRange{range.start + offset_in_range_, take});
       count += take;
       offset_in_range_ += take;
     }
@@ -165,51 +129,41 @@ StatusOr<bool> RleIndexScanOperator::Next(Batch* batch) {
       offset_in_range_ = 0;
     }
   }
-  if (count == 0) return false;
+  if (count == 0) {
+    counters_.FlushTo(stats_);
+    return false;
+  }
 
-  *batch = schema_.NewBatch();
-  int64_t encoded_rows = 0;
-  std::vector<uint8_t> piece_nulls;
+  // One gather per column over all pieces: runs rebased onto the pieces'
+  // batch offsets (together contiguous, covering [0, count)), or flat
+  // payloads back to back. The null mask stays flat and empty when no
+  // piece holds a null.
+  schema_.ResetBatch(batch);
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     const Column& col = *table_->column(column_indices_[i]);
     ColumnVector& cv = batch->columns[i];
-    const bool keep_runs = emit_encoded_ && col.is_rle();
-    int64_t at = 0;
-    for (const RowRange& p : pieces) {
-      if (keep_runs) {
-        // Runs of one piece are rebased onto the piece's batch offset;
-        // together they stay contiguous and cover [0, count).
-        size_t first = cv.runs.size();
-        col.EmitRuns(p.start, p.count, &cv.runs);
-        for (size_t r = first; r < cv.runs.size(); ++r) cv.runs[r].start += at;
-      } else {
-        AppendDecoded(col, p.start, p.count, &delta_cursors_[i], &cv);
-      }
-      // The null mask stays flat and is only materialized when some
-      // piece holds a null ("empty means no nulls").
-      col.DecodeNulls(p.start, p.count, &piece_nulls);
-      if (!piece_nulls.empty()) {
-        cv.nulls.resize(at, 0);
-        cv.nulls.insert(cv.nulls.end(), piece_nulls.begin(),
-                        piece_nulls.end());
-      } else if (!cv.nulls.empty()) {
-        cv.nulls.resize(at + p.count, 0);
-      }
-      at += p.count;
-    }
-    if (keep_runs) {
+    col.GatherNulls(pieces_, &cv.nulls);
+    if (emit_encoded_ && col.is_rle()) {
+      col.GatherRuns(pieces_, &cv.runs);
       cv.run_encoded = true;
-      encoded_rows += count;
+      counters_.encoded_rows_undecoded += count;
+    } else if (cv.type.kind == TypeKind::kFloat64) {
+      col.GatherDoubles(pieces_, &cv.doubles);
+    } else if (cv.type.kind == TypeKind::kString && cv.dict == nullptr) {
+      for (const RowRange& p : pieces_) {
+        col.DecodeStrings(p.start, p.count, &piece_strings_, nullptr);
+        cv.strings.insert(cv.strings.end(),
+                          std::make_move_iterator(piece_strings_.begin()),
+                          std::make_move_iterator(piece_strings_.end()));
+      }
+    } else {
+      // ints, dates, bools, dict tokens
+      col.GatherInts(pieces_, &cv.ints, &delta_cursors_[i]);
     }
   }
   batch->num_rows = count;
-
-  if (stats_ != nullptr) {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    stats_->rows_scanned += count;
-    stats_->encoded_rows_undecoded += encoded_rows;
-    ++stats_->batches;
-  }
+  counters_.rows_scanned += count;
+  ++counters_.batches;
   return true;
 }
 

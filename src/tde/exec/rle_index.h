@@ -10,18 +10,13 @@
 #define VIZQUERY_TDE_EXEC_RLE_INDEX_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/tde/exec/operators.h"
 #include "src/tde/storage/table.h"
 
 namespace vizq::tde {
-
-// A contiguous row range [start, start + count) of the main table.
-struct RowRange {
-  int64_t start = 0;
-  int64_t count = 0;
-};
 
 // Evaluates `predicate` once per run of the RLE column `rle_column` of
 // `table` (the operator-pushdown step: the filter runs over the IndexTable,
@@ -53,20 +48,25 @@ class RleIndexScanOperator : public Operator {
   const BatchSchema& schema() const override { return schema_; }
   Status Open() override;
   StatusOr<bool> Next(Batch* batch) override;
-  Status Close() override { return OkStatus(); }
+  Status Close() override;
 
  private:
+
   std::shared_ptr<const Table> table_;
   std::vector<int> column_indices_;
   std::vector<RowRange> ranges_;
   size_t range_idx_ = 0;
   int64_t offset_in_range_ = 0;
   bool emit_encoded_ = false;
-  // Per-output-column resume cursors: kDelta decodes stay incremental
-  // across pieces that follow each other.
-  std::vector<Column::DecodeCursor> delta_cursors_;
   BatchSchema schema_;
   ExecStats* stats_;
+  ScanCounters counters_;
+  // This batch's pieces of the ranges (reused across batches).
+  std::vector<RowRange> pieces_;
+  std::vector<std::string> piece_strings_;  // plain-string decode scratch
+  // Per-output-column kDelta resume cursors: ranges ascend, so a scan
+  // continues each prefix sum instead of restarting it every batch.
+  std::vector<Column::DecodeCursor> delta_cursors_;
 };
 
 }  // namespace vizq::tde

@@ -35,11 +35,13 @@ Status TableScanOperator::Open() {
   delta_cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
   // Morsel mode: an empty current morsel forces a claim on first Next().
   morsel_end_ = cursor_;
+  counters_ = ScanCounters{};
   span_ = ctx_.StartSpan("op:scan(" + table_->name() + ")");
   return OkStatus();
 }
 
 Status TableScanOperator::Close() {
+  counters_.FlushTo(stats_);
   if (span_ != nullptr) {
     span_->End();
     span_ = nullptr;
@@ -55,66 +57,54 @@ StatusOr<bool> TableScanOperator::Next(Batch* batch) {
   int64_t limit = row_end_;
   if (morsels_ != nullptr) {
     if (cursor_ >= morsel_end_) {
-      if (!morsels_->Claim(&cursor_, &morsel_end_)) return false;
-      if (stats_ != nullptr) {
-        std::lock_guard<std::mutex> lock(stats_->mu);
-        ++stats_->morsels_claimed;
-        stats_->used_morsel_scan = true;
+      if (!morsels_->Claim(&cursor_, &morsel_end_)) {
+        counters_.FlushTo(stats_);
+        return false;
       }
+      ++counters_.morsels_claimed;
     }
     limit = morsel_end_;
   }
-  if (cursor_ >= limit) return false;
+  if (cursor_ >= limit) {
+    counters_.FlushTo(stats_);
+    return false;
+  }
   int64_t count = std::min(kBatchRows, limit - cursor_);
-  *batch = schema_.NewBatch();
-  int64_t encoded_rows = 0;
+  schema_.ResetBatch(batch);
+  range_.assign(1, RowRange{cursor_, count});
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     const Column& col = *table_->column(column_indices_[i]);
     ColumnVector& cv = batch->columns[i];
+    // The null mask stays flat and empty when the rows hold no null.
+    col.GatherNulls(range_, &cv.nulls);
     if (emit_encoded_ && col.is_rle()) {
       // Keep the runs: emit the payload (ints, dict tokens, or bit-cast
-      // doubles) run-length encoded; the null mask stays flat.
-      col.EmitRuns(cursor_, count, &cv.runs);
+      // doubles) run-length encoded.
+      col.GatherRuns(range_, &cv.runs);
       cv.run_encoded = true;
-      col.DecodeNulls(cursor_, count, &cv.nulls);
-      encoded_rows += count;
+      counters_.encoded_rows_undecoded += count;
       continue;
     }
-    std::vector<uint8_t> nulls;
     switch (cv.type.kind) {
       case TypeKind::kFloat64:
-        col.DecodeDoubles(cursor_, count, &cv.doubles, &nulls);
+        col.GatherDoubles(range_, &cv.doubles);
         break;
       case TypeKind::kString:
         if (cv.dict != nullptr) {
-          col.DecodeIntsResumable(&delta_cursors_[i], cursor_, count,
-                                  &cv.ints, &nulls);
+          col.GatherInts(range_, &cv.ints, &delta_cursors_[i]);
         } else {
-          col.DecodeStrings(cursor_, count, &cv.strings, &nulls);
+          col.DecodeStrings(cursor_, count, &cv.strings, nullptr);
         }
         break;
       default:
-        col.DecodeIntsResumable(&delta_cursors_[i], cursor_, count, &cv.ints,
-                                &nulls);
+        col.GatherInts(range_, &cv.ints, &delta_cursors_[i]);
         break;
     }
-    bool any_null = false;
-    for (uint8_t b : nulls) {
-      if (b != 0) {
-        any_null = true;
-        break;
-      }
-    }
-    if (any_null) cv.nulls = std::move(nulls);
   }
   batch->num_rows = count;
   cursor_ += count;
-  if (stats_ != nullptr) {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    stats_->rows_scanned += count;
-    stats_->encoded_rows_undecoded += encoded_rows;
-    ++stats_->batches;
-  }
+  counters_.rows_scanned += count;
+  ++counters_.batches;
   return true;
 }
 
@@ -149,10 +139,32 @@ std::vector<int64_t> SplitRowsOnSortedPrefix(const Table& table,
   };
 
   // Start from even split points and push each forward to the next group
-  // boundary so no group straddles a fraction.
+  // boundary so no group straddles a fraction. The table is sorted on the
+  // prefix, so the rows equal to row b-1 are contiguous: gallop forward,
+  // then binary-search the first row that differs — O(log group) row
+  // compares, not one per row of a long group.
   for (int i = 1; i < dop; ++i) {
     int64_t b = std::max(n * i / dop, offsets.back() + 1);
-    while (b < n && keys_equal(b - 1, b)) ++b;
+    if (b < n && keys_equal(b - 1, b)) {
+      int64_t lo = b;  // keys_equal(b - 1, lo) holds
+      int64_t step = 1;
+      int64_t hi = std::min(n, lo + step);
+      while (hi < n && keys_equal(b - 1, hi)) {
+        lo = hi;
+        step *= 2;
+        hi = std::min(n, lo + step);
+      }
+      // First differing row lies in (lo, hi] (hi == n: none before end).
+      while (hi - lo > 1) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (keys_equal(b - 1, mid)) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      b = hi;
+    }
     if (b < n && b > offsets.back()) offsets.push_back(b);
   }
   offsets.push_back(n);

@@ -55,8 +55,10 @@ class TableScanOperator : public Operator {
   bool emit_encoded_ = false;
   // Per-output-column resume cursors so kDelta scans are O(n), not O(n^2).
   std::vector<Column::DecodeCursor> delta_cursors_;
+  std::vector<RowRange> range_;  // this batch's rows, reused
   BatchSchema schema_;
   ExecStats* stats_;
+  ScanCounters counters_;
   ExecContext ctx_;
   Span* span_ = nullptr;
   int64_t batches_emitted_ = 0;

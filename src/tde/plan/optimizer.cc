@@ -811,17 +811,22 @@ Status PartialAggNode(LogicalOpPtr* node) {
 
 // --- encoding-aware execution (DESIGN.md §11) ---
 
-// The pattern DecideEncodedExec looks for: Aggregate → [Select]* → Scan or
-// RleIndexScan where every group key (there may be none) is a bare
-// reference to a
-// dictionary-string column or to a fixed-width (int64 / date / bool)
-// column with min/max stats. `candidate` means the pattern matched;
-// `viable` means all gates passed too (key-space cap, argument and
-// conjunct encodings).
+// The pattern DecideEncodedExec looks for: Aggregate → [Project] →
+// [Select]* → Scan or RleIndexScan where every group key (there may be
+// none) is a bare reference to a dictionary-string column or to a
+// fixed-width (int64 / date / bool) column with min/max stats. The
+// Project, if any, must only pass bare column references through.
+// `candidate` means the pattern matched; `viable` means all gates passed
+// too (key-space cap, argument and conjunct encodings).
 struct EncodedCandidate {
   bool candidate = false;
   bool viable = false;
   LogicalOp* scan = nullptr;        // kScan or kRleIndexScan
+  // A Project of bare column refs directly below the Aggregate, and the
+  // input column each of its outputs reads. The Aggregate's column
+  // indices are mapped through it; DecideEncodedNode splices it out.
+  LogicalOp* project = nullptr;
+  std::vector<int> project_inputs;
   std::vector<LogicalOp*> selects;  // outermost first
   std::vector<int> key_columns;     // child-schema index per group key
   std::vector<int64_t> key_cards;   // distinct digits per group key
@@ -830,6 +835,12 @@ struct EncodedCandidate {
   // Classified conjuncts, parallel to `selects`.
   std::vector<std::vector<EncodedConjunct>> conjuncts;
 };
+
+// Largest stats range of an RLE filter column that gets a verdict table
+// (EncodedConjunct::value_card): building one evaluates the predicate once
+// per value, which a 1M-row scan's per-run evaluation costs many times
+// over.
+constexpr int64_t kVerdictTableMaxValues = 1024;
 
 // The dense key range of a fixed-width column: its stats' [min, max].
 // Returns false when the column has no usable stats or the range
@@ -854,8 +865,29 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
       op->agg_phase == AggPhase::kFinal) {
     return cand;
   }
-  // Walk the child chain: Selects over a plain or range-skipping scan.
+  // Walk the child chain: an optional Project that only passes columns
+  // through, then Selects over a plain or range-skipping scan.
   LogicalOp* cur = op->children.empty() ? nullptr : op->children[0].get();
+  if (cur != nullptr && cur->kind == LogicalKind::kProject &&
+      !cur->children.empty()) {
+    std::vector<int> inputs;
+    for (const NamedExpr& p : cur->projections) {
+      if (p.expr->kind != ExprKind::kColumnRef || p.expr->column_index < 0) {
+        return cand;
+      }
+      inputs.push_back(p.expr->column_index);
+    }
+    cand.project = cur;
+    cand.project_inputs = std::move(inputs);
+    cur = cur->children[0].get();
+  }
+  // The Aggregate's column c, as a column of the Selects / scan below.
+  auto input_col = [&](int c) {
+    if (cand.project == nullptr) return c;
+    return c >= 0 && c < static_cast<int>(cand.project_inputs.size())
+               ? cand.project_inputs[c]
+               : -1;
+  };
   while (cur != nullptr && cur->kind == LogicalKind::kSelect) {
     cand.selects.push_back(cur);
     cur = cur->children.empty() ? nullptr : cur->children[0].get();
@@ -882,7 +914,8 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     if (g.expr->kind != ExprKind::kColumnRef || g.expr->column_index < 0) {
       return cand;
     }
-    const Column* col = table_column(g.expr->column_index);
+    const int key_col = input_col(g.expr->column_index);
+    const Column* col = table_column(key_col);
     if (col == nullptr) return cand;
     int64_t min = 0;
     int64_t card = 0;
@@ -896,7 +929,7 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
         return cand;
       }
     }
-    cand.key_columns.push_back(g.expr->column_index);
+    cand.key_columns.push_back(key_col);
     cand.key_cards.push_back(card);
     cand.key_mins.push_back(min);
   }
@@ -914,8 +947,7 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
   for (const LogicalAgg& a : op->aggregates) {
     if (a.arg == nullptr) continue;
     if (a.arg->kind == ExprKind::kColumnRef) {
-      if (a.arg->column_index < 0 ||
-          table_column(a.arg->column_index) == nullptr) {
+      if (table_column(input_col(a.arg->column_index)) == nullptr) {
         return cand;
       }
       continue;
@@ -923,7 +955,7 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     std::vector<int> refs;
     a.arg->CollectColumnIndices(&refs);
     for (int c : refs) {
-      const Column* col = table_column(c);
+      const Column* col = table_column(input_col(c));
       if (col == nullptr || col->is_rle()) return cand;
     }
   }
@@ -950,6 +982,18 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
           ec.kind = EncodedConjunct::Kind::kTokenBitmap;
         } else if (col->is_rle()) {
           ec.kind = EncodedConjunct::Kind::kPerRun;
+          // A small int/date/bool stats range gets a value -> verdict
+          // table, built once instead of evaluating every batch's runs.
+          int64_t min = 0;
+          int64_t card = 0;
+          const TypeKind kind = col->type().kind;
+          if ((kind == TypeKind::kInt64 || kind == TypeKind::kDate ||
+               kind == TypeKind::kBool) &&
+              IntKeyRange(*col, &min, &card) &&
+              card <= kVerdictTableMaxValues) {
+            ec.value_min = min;
+            ec.value_card = card;
+          }
         } else {
           ec.kind = EncodedConjunct::Kind::kPerRow;
         }
@@ -973,34 +1017,43 @@ void DecideEncodedNode(const LogicalOpPtr& node,
                        const OptimizerOptions& options,
                        EncodedExecDecision* out) {
   LogicalOp* op = node.get();
-  // Streaming aggregation keeps precedence where it actually executes
-  // (complete-phase, sorted input, group keys): it pipelines and never
-  // materializes a table. Partial-phase nodes in parallel plans never run
-  // streaming, so the dense path may claim them even if prefer_streaming
-  // survived the phase split; a scalar aggregate's one dense cell is no
-  // table either, and dense counts a whole segment per step.
-  bool claimed_by_streaming = op->prefer_streaming &&
-                              op->agg_phase == AggPhase::kComplete &&
-                              !op->group_by.empty();
-  if (op->kind == LogicalKind::kAggregate && !claimed_by_streaming) {
+  if (op->kind == LogicalKind::kAggregate) {
     EncodedCandidate cand = AnalyzeEncodedCandidate(op, options);
-    if (cand.candidate) {
-      if (cand.viable) {
-        op->use_encoded_agg = true;
-        op->prefer_streaming = false;
-        op->encoded_key_columns = cand.key_columns;
-        op->encoded_key_cards = cand.key_cards;
-        op->encoded_key_mins = cand.key_mins;
-        op->encoded_cells = cand.cells;
-        cand.scan->emit_encoded = true;
-        for (size_t i = 0; i < cand.selects.size(); ++i) {
-          cand.selects[i]->encoded_filter = true;
-          cand.selects[i]->encoded_conjuncts = cand.conjuncts[i];
+    if (cand.viable) {
+      // Streaming aggregation yields to a viable dense candidate: dense
+      // folds the runs of a sorted key whole, where streaming compares
+      // keys row by row.
+      op->use_encoded_agg = true;
+      op->prefer_streaming = false;
+      if (cand.project != nullptr) {
+        // The Project only renamed columns: read them below it.
+        for (NamedExpr& g : op->group_by) {
+          g.expr = RemapColumns(g.expr, cand.project_inputs);
         }
-        ++out->plans;
-      } else {
-        ++out->fallbacks;
+        for (LogicalAgg& a : op->aggregates) {
+          if (a.arg != nullptr) {
+            a.arg = RemapColumns(a.arg, cand.project_inputs);
+          }
+        }
+        op->children[0] = cand.project->children[0];
       }
+      op->encoded_key_columns = cand.key_columns;
+      op->encoded_key_cards = cand.key_cards;
+      op->encoded_key_mins = cand.key_mins;
+      op->encoded_cells = cand.cells;
+      cand.scan->emit_encoded = true;
+      for (size_t i = 0; i < cand.selects.size(); ++i) {
+        cand.selects[i]->encoded_filter = true;
+        cand.selects[i]->encoded_conjuncts = cand.conjuncts[i];
+      }
+      ++out->plans;
+    } else if (cand.candidate) {
+      // Streaming aggregation, where it executes (complete phase, sorted
+      // input, group keys), is no fallback: it never builds a table.
+      const bool streams = op->prefer_streaming &&
+                           op->agg_phase == AggPhase::kComplete &&
+                           !op->group_by.empty();
+      if (!streams) ++out->fallbacks;
     }
   }
   for (const LogicalOpPtr& c : op->children) {

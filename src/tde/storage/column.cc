@@ -95,82 +95,35 @@ Value Column::GetValue(int64_t row) const {
   return Value::Null();
 }
 
+void Column::CopyNullMask(int64_t start, int64_t count,
+                          std::vector<uint8_t>* null_mask) const {
+  if (null_mask == nullptr) return;
+  if (nulls_.empty()) {
+    null_mask->assign(count, 0);
+    return;
+  }
+  null_mask->assign(nulls_.begin() + start, nulls_.begin() + start + count);
+}
+
 void Column::DecodeInts(int64_t start, int64_t count,
                         std::vector<int64_t>* out,
                         std::vector<uint8_t>* null_mask) const {
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
-  switch (encoding_) {
-    case Encoding::kPlain:
-    case Encoding::kDictionary:
-      std::memcpy(out->data(), ints_.data() + start, count * sizeof(int64_t));
-      break;
-    case Encoding::kRle: {
-      // Locate the first overlapping run, then emit run-by-run.
-      const RleRun* run = FindRun(runs_, start);
-      int64_t idx = run != nullptr ? run - runs_.data() : 0;
-      int64_t produced = 0;
-      while (produced < count &&
-             idx < static_cast<int64_t>(runs_.size())) {
-        const RleRun& r = runs_[idx];
-        int64_t from = std::max(start + produced, r.start);
-        int64_t to = std::min(start + count, r.start + r.count);
-        for (int64_t row = from; row < to; ++row) {
-          (*out)[produced++] = r.value;
-        }
-        ++idx;
-      }
-      break;
-    }
-    case Encoding::kDelta: {
-      int64_t v = delta_base_;
-      for (int64_t i = 0; i < start; ++i) v += deltas_[i];
-      for (int64_t i = 0; i < count; ++i) {
-        (*out)[i] = v;
-        if (start + i < static_cast<int64_t>(deltas_.size())) {
-          v += deltas_[start + i];
-        }
-      }
-      break;
-    }
-  }
+  CopyNullMask(start, count, null_mask);
+  GatherInts({RowRange{start, count}}, out);
 }
 
 void Column::DecodeDoubles(int64_t start, int64_t count,
                            std::vector<double>* out,
                            std::vector<uint8_t>* null_mask) const {
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
-  if (encoding_ == Encoding::kPlain) {
-    std::memcpy(out->data(), doubles_.data() + start, count * sizeof(double));
-    return;
-  }
-  // RLE/delta doubles travel through the int payload as bit patterns.
-  std::vector<int64_t> raw;
-  DecodeInts(start, count, &raw, nullptr);
-  for (int64_t i = 0; i < count; ++i) (*out)[i] = BitsToDouble(raw[i]);
+  CopyNullMask(start, count, null_mask);
+  GatherDoubles({RowRange{start, count}}, out);
 }
 
 void Column::DecodeStrings(int64_t start, int64_t count,
                            std::vector<std::string>* out,
                            std::vector<uint8_t>* null_mask) const {
   out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
+  CopyNullMask(start, count, null_mask);
   if (dictionary_ != nullptr) {
     std::vector<int64_t> tokens;
     DecodeInts(start, count, &tokens, nullptr);
@@ -186,72 +139,160 @@ void Column::DecodeStrings(int64_t start, int64_t count,
 
 void Column::DecodeNulls(int64_t start, int64_t count,
                          std::vector<uint8_t>* out) const {
-  out->clear();
-  if (nulls_.empty()) return;
-  bool any = false;
-  for (int64_t i = 0; i < count; ++i) {
-    if (nulls_[start + i] != 0) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return;
-  out->assign(nulls_.begin() + start, nulls_.begin() + start + count);
-}
-
-void Column::DecodeIntsResumable(DecodeCursor* cursor, int64_t start,
-                                 int64_t count, std::vector<int64_t>* out,
-                                 std::vector<uint8_t>* null_mask) const {
-  if (encoding_ != Encoding::kDelta || cursor == nullptr ||
-      cursor->next_row != start) {
-    DecodeInts(start, count, out, null_mask);
-    if (cursor != nullptr && encoding_ == Encoding::kDelta && count > 0) {
-      cursor->next_row = start + count;
-      cursor->acc = (*out)[count - 1];
-      if (start + count - 1 < static_cast<int64_t>(deltas_.size())) {
-        cursor->acc += deltas_[start + count - 1];
-      }
-    }
-    return;
-  }
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
-  // A fresh cursor ({0, 0}) matches start == 0 but was never seeded:
-  // row 0 of a delta column is delta_base_, not the zero-initialized acc.
-  if (start == 0) cursor->acc = delta_base_;
-  int64_t v = cursor->acc;
-  for (int64_t i = 0; i < count; ++i) {
-    (*out)[i] = v;
-    if (start + i < static_cast<int64_t>(deltas_.size())) {
-      v += deltas_[start + i];
-    }
-  }
-  cursor->next_row = start + count;
-  cursor->acc = v;
+  GatherNulls({RowRange{start, count}}, out);
 }
 
 int64_t Column::EmitRuns(int64_t start, int64_t count,
                          std::vector<RleRun>* out) const {
-  if (count <= 0) return 0;
-  const RleRun* run = FindRun(runs_, start);
-  int64_t idx = run != nullptr ? run - runs_.data() : 0;
-  int64_t emitted = 0;
-  int64_t end = start + count;
-  while (idx < static_cast<int64_t>(runs_.size())) {
-    const RleRun& r = runs_[idx];
-    int64_t from = std::max(start, r.start);
-    int64_t to = std::min(end, r.start + r.count);
-    if (from >= to) break;
-    out->push_back(RleRun{r.value, from - start, to - from});
-    ++emitted;
-    ++idx;
+  const size_t before = out->size();
+  GatherRuns({RowRange{start, count}}, out);
+  return static_cast<int64_t>(out->size() - before);
+}
+
+size_t Column::RunFrom(size_t from, int64_t row) const {
+  const size_t n = runs_.size();
+  size_t lo = from;
+  size_t step = 1;
+  size_t hi = lo + 1;
+  while (hi < n && runs_[hi].start <= row) {
+    lo = hi;
+    step *= 2;
+    hi = lo + step;
   }
-  return emitted;
+  hi = std::min(hi, n);
+  // The run holding `row` is the last one in [lo, hi) starting at or
+  // before it.
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (runs_[mid].start <= row) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+namespace {
+
+int64_t TotalRows(const std::vector<RowRange>& ranges) {
+  int64_t total = 0;
+  for (const RowRange& r : ranges) total += r.count;
+  return total;
+}
+
+}  // namespace
+
+void Column::GatherInts(const std::vector<RowRange>& ranges,
+                        std::vector<int64_t>* out,
+                        DecodeCursor* cursor) const {
+  out->resize(TotalRows(ranges));
+  int64_t* o = out->data();
+  switch (encoding_) {
+    case Encoding::kPlain:
+    case Encoding::kDictionary:
+      for (const RowRange& r : ranges) {
+        std::memcpy(o, ints_.data() + r.start, r.count * sizeof(int64_t));
+        o += r.count;
+      }
+      return;
+    case Encoding::kRle: {
+      size_t run = 0;
+      for (const RowRange& r : ranges) {
+        if (runs_.empty()) break;
+        run = RunFrom(run, r.start);
+        int64_t row = r.start;
+        const int64_t end = r.start + r.count;
+        while (row < end && run < runs_.size()) {
+          const RleRun& x = runs_[run];
+          const int64_t to = std::min(end, x.start + x.count);
+          std::fill(o, o + (to - row), x.value);
+          o += to - row;
+          row = to;
+          if (row < end) ++run;
+        }
+      }
+      return;
+    }
+    case Encoding::kDelta: {
+      if (ranges.empty()) return;
+      // v is the value of `row`; ranges only move forward, and so does a
+      // cursor left at or before the first of them.
+      int64_t row = 0;
+      int64_t v = delta_base_;
+      if (cursor != nullptr && cursor->next_row > 0 &&
+          cursor->next_row <= ranges.front().start) {
+        row = cursor->next_row;
+        v = cursor->acc;
+      }
+      const int64_t deltas = static_cast<int64_t>(deltas_.size());
+      for (const RowRange& r : ranges) {
+        for (; row < r.start; ++row) {
+          if (row < deltas) v += deltas_[row];
+        }
+        for (int64_t i = 0; i < r.count; ++i, ++row) {
+          *o++ = v;
+          if (row < deltas) v += deltas_[row];
+        }
+      }
+      if (cursor != nullptr) *cursor = DecodeCursor{row, v};
+      return;
+    }
+  }
+}
+
+void Column::GatherDoubles(const std::vector<RowRange>& ranges,
+                           std::vector<double>* out) const {
+  if (encoding_ == Encoding::kPlain) {
+    out->resize(TotalRows(ranges));
+    double* o = out->data();
+    for (const RowRange& r : ranges) {
+      std::memcpy(o, doubles_.data() + r.start, r.count * sizeof(double));
+      o += r.count;
+    }
+    return;
+  }
+  // RLE/delta doubles travel through the int payload as bit patterns.
+  std::vector<int64_t> raw;
+  GatherInts(ranges, &raw);
+  out->resize(raw.size());
+  for (size_t i = 0; i < raw.size(); ++i) (*out)[i] = BitsToDouble(raw[i]);
+}
+
+void Column::GatherNulls(const std::vector<RowRange>& ranges,
+                         std::vector<uint8_t>* out) const {
+  out->clear();
+  if (nulls_.empty()) return;
+  uint8_t any = 0;
+  for (const RowRange& r : ranges) {
+    for (int64_t i = 0; i < r.count; ++i) any |= nulls_[r.start + i];
+  }
+  if (any == 0) return;
+  out->reserve(TotalRows(ranges));
+  for (const RowRange& r : ranges) {
+    out->insert(out->end(), nulls_.begin() + r.start,
+                nulls_.begin() + r.start + r.count);
+  }
+}
+
+void Column::GatherRuns(const std::vector<RowRange>& ranges,
+                        std::vector<RleRun>* out) const {
+  size_t run = 0;
+  int64_t at = 0;  // batch offset of the current range
+  for (const RowRange& r : ranges) {
+    if (runs_.empty()) break;
+    run = RunFrom(run, r.start);
+    int64_t row = r.start;
+    const int64_t end = r.start + r.count;
+    while (row < end && run < runs_.size()) {
+      const RleRun& x = runs_[run];
+      const int64_t to = std::min(end, x.start + x.count);
+      out->push_back(RleRun{x.value, at + (row - r.start), to - row});
+      row = to;
+      if (row < end) ++run;
+    }
+    at += r.count;
+  }
 }
 
 int Column::CompareRows(int64_t a, int64_t b) const {

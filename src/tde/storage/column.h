@@ -58,6 +58,12 @@ struct RleRun {
   int64_t count = 0;
 };
 
+// A contiguous row range [start, start + count) of a column or table.
+struct RowRange {
+  int64_t start = 0;
+  int64_t count = 0;
+};
+
 // Shared, immutable string dictionary. Tokens are indexes into `values`,
 // assigned in first-appearance order. Lookup honors the column collation.
 class StringDictionary {
@@ -109,6 +115,8 @@ class Column {
   // the bulk decoders below).
   Value GetValue(int64_t row) const;
 
+  // Single-range decoders: one-range forms of the gathers below.
+
   // Bulk-decodes rows [start, start+count) of the int64 payload
   // (bool/int64/date columns, or dictionary *tokens* for encoded strings).
   // `out` is resized to count. Null rows decode to 0 with the null mask set.
@@ -131,29 +139,41 @@ class Column {
   void DecodeNulls(int64_t start, int64_t count,
                    std::vector<uint8_t>* out) const;
 
-  // Streaming decode state for DecodeIntsResumable: carries the delta
-  // prefix sum across consecutive batch decodes so a full-column scan is
-  // O(n) instead of O(n^2) (DecodeInts recomputes the prefix from row 0 on
-  // every call).
-  struct DecodeCursor {
-    int64_t next_row = 0;
-    int64_t acc = 0;  // value of row next_row (kDelta only)
-  };
-
-  // DecodeInts with a resume cursor. Equivalent output; when `start`
-  // matches cursor->next_row on a kDelta column the prefix sum continues
-  // incrementally. Any other encoding (or a non-contiguous start, e.g. a
-  // morsel jump) delegates to DecodeInts and re-seeds the cursor.
-  void DecodeIntsResumable(DecodeCursor* cursor, int64_t start, int64_t count,
-                           std::vector<int64_t>* out,
-                           std::vector<uint8_t>* null_mask) const;
-
   // Emits the kRle runs overlapping rows [start, start+count), clipped to
   // the range and rebased so run starts are relative to `start`. Runs are
   // contiguous, non-empty, and cover [0, count). Returns the number of
   // runs appended. Valid only for is_rle() columns.
   int64_t EmitRuns(int64_t start, int64_t count,
                    std::vector<RleRun>* out) const;
+
+  // Streaming decode state of GatherInts on a kDelta column: the row after
+  // the last one gathered and its value, so that a scan gathering batch
+  // after batch continues the prefix sum instead of restarting it at row 0
+  // (O(n) per scan, not O(n^2)).
+  struct DecodeCursor {
+    int64_t next_row = 0;
+    int64_t acc = 0;  // value of row next_row
+  };
+
+  // Range gathers: decode the rows of ascending, non-overlapping `ranges`
+  // back to back, as the single-range decoders would one range at a time,
+  // but in one pass — RLE lookups and kDelta prefix sums advance from one
+  // range to the next instead of starting over. `out` is resized to the
+  // ranges' total rows. On a kDelta column GatherInts resumes from
+  // `cursor` (if given) when it stopped at or before the first range, and
+  // leaves it after the last; other encodings ignore it.
+  void GatherInts(const std::vector<RowRange>& ranges,
+                  std::vector<int64_t>* out,
+                  DecodeCursor* cursor = nullptr) const;
+  void GatherDoubles(const std::vector<RowRange>& ranges,
+                     std::vector<double>* out) const;
+  // Null flags of the ranges, or empty when none of their rows is null.
+  void GatherNulls(const std::vector<RowRange>& ranges,
+                   std::vector<uint8_t>* out) const;
+  // Appends the kRle runs of the ranges, clipped to each range and rebased
+  // onto the ranges' back-to-back row offsets. Valid only for is_rle().
+  void GatherRuns(const std::vector<RowRange>& ranges,
+                  std::vector<RleRun>* out) const;
 
   // Encoding-aware three-way comparison of rows `a` and `b` without
   // materializing Values: equal dictionary tokens and same-run RLE rows
@@ -184,6 +204,14 @@ class Column {
   int64_t ApproxBytes() const;
 
  private:
+  // Index of the kRle run holding `row`, galloping forward from run `from`
+  // (which must start at or before `row`).
+  size_t RunFrom(size_t from, int64_t row) const;
+  // Copies the null flags of rows [start, start+count) into `null_mask`
+  // (all 0 when the column has no NULLs); no-op when it is null.
+  void CopyNullMask(int64_t start, int64_t count,
+                    std::vector<uint8_t>* null_mask) const;
+
   friend class ColumnBuilder;
   friend class ColumnSerializer;
 

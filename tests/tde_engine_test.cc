@@ -291,11 +291,31 @@ TEST(TdeStreamingAggTest, SortedInputUsesStreamingAggregate) {
   auto db = MakeTestDatabase(4096);
   TdeEngine engine(db);
   QueryOptions options = QueryOptions::Serial();
+  // Streaming runs where no dense candidate is viable; with the encoded
+  // path off, none is.
+  options.optimizer.enable_encoded_exec = false;
   auto result = engine.Execute(
       "(aggregate ((region region)) ((n count*)) (scan sales))", options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->stats->used_streaming_agg) << result->plan_text;
   EXPECT_EQ(result->table.num_rows(), 4);
+}
+
+TEST(TdeStreamingAggTest, SortedInputYieldsToViableDenseAggregate) {
+  auto db = MakeTestDatabase(4096);
+  TdeEngine engine(db);
+  const std::string q =
+      "(aggregate ((region region)) ((n count*) (u sum units)) (scan sales))";
+  QueryOptions streaming = QueryOptions::Serial();
+  streaming.optimizer.enable_encoded_exec = false;
+  auto expected = engine.Execute(q, streaming);
+  auto dense = engine.Execute(q, QueryOptions::Serial());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  EXPECT_FALSE(dense->stats->used_streaming_agg) << dense->plan_text;
+  EXPECT_EQ(dense->stats->encoded_plans, 1) << dense->plan_text;
+  EXPECT_EQ(dense->stats->encoded_fallbacks, 0);
+  EXPECT_TRUE(TablesEquivalent(expected->table, dense->table));
 }
 
 TEST(TdeRleIndexTest, RleRewriteMatchesPlainScan) {

@@ -18,7 +18,8 @@
 // (plausible p50<=p95<=p99 in cache/pool/operator histograms, schema-valid
 // Chrome trace, root rows-out == returned rows, retained tail exemplars
 // with a valid trace, non-empty monotone plan profiles, dense aggregation
-// in every Figure-1 zone plan under a carrier quick filter), exiting
+// in every query zone plan of both dashboards under open, quick-filter and
+// selection states), exiting
 // non-zero on any violation; CI runs it on every Release build.
 //
 // --cluster N routes the dashboard workload through an N-node sharded
@@ -79,8 +80,8 @@ struct WorkloadResult {
   // table sort, so the encoded Scan->Aggregate path must claim it.
   std::string encoded_plan_text;
   int64_t encoded_probe_rows = 0;
-  // Figure-1 zone queries under a quick filter keeping all carriers but
-  // one (the explore workload's shape): (zone, EXPLAIN ANALYZE) pairs.
+  // Every query zone of both dashboards in each probed interaction state
+  // (the explore workload's shapes): (state: zone, EXPLAIN ANALYZE) pairs.
   std::vector<std::pair<std::string, std::string>> zone_plans;
   int64_t queries_run = 0;
 };
@@ -234,23 +235,50 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
   out.encoded_probe_rows = encoded_result.num_rows();
   out.encoded_plan_text = ectx.log()->attachment("tde.analyze");
 
-  // Zone probes: the carrier quick filter is rewritten into range
-  // skipping, which must feed the dense path of every Figure-1 zone.
-  dashboard::InteractionState filtered;
+  // Zone probes: every query zone of both dashboards (charts and the
+  // quick-filter domains) in the interaction states the explore sessions
+  // reach must aggregate on the dense path. A carrier quick filter is
+  // rewritten into range skipping, which feeds it; map and market
+  // selections become token-bitmap filters over it.
+  dashboard::InteractionState carrier_filter;
   std::vector<Value> carriers;
   for (const std::string& code : workload::FaaCarrierCodes()) {
     if (code != workload::FaaCarrierCodes().front()) carriers.push_back(Value(code));
   }
-  filtered.SetQuickFilter("carrier", std::move(carriers));
-  for (const dashboard::Zone& zone : fig1.zones()) {
-    if (zone.kind != dashboard::ZoneKind::kViz) continue;
-    VIZQ_ASSIGN_OR_RETURN(query::AbstractQuery q,
-                          fig1.BuildZoneQuery(zone.name, filtered));
-    ExecContext zctx;
-    VIZQ_RETURN_IF_ERROR(service.ExecuteQuery(zctx, q, probe_opts).status());
-    ++out.queries_run;
-    out.zone_plans.emplace_back(zone.name,
-                                zctx.log()->attachment("tde.analyze"));
+  carrier_filter.SetQuickFilter("carrier", std::move(carriers));
+  dashboard::InteractionState map_selection;
+  map_selection.Select("OriginMap", "origin_state", {Value("CA")});
+  map_selection.Select("DestMap", "dest_state", {Value("TX"), Value("NY")});
+  dashboard::InteractionState market_selection;
+  market_selection.Select("Market", "market", {Value("ATL-LAX")});
+  dashboard::InteractionState market_carrier_selection = market_selection;
+  market_carrier_selection.Select(
+      "Carrier", "carrier", {Value(workload::FaaCarrierCodes().front())});
+  const dashboard::Dashboard fig2 = workload::BuildFigure2Dashboard("faa");
+  const struct {
+    const char* label;
+    const dashboard::Dashboard* dash;
+    dashboard::InteractionState state;
+  } probes[] = {
+      {"fig1 open", &fig1, {}},
+      {"fig1 carrier quick filter", &fig1, carrier_filter},
+      {"fig1 origin+dest selection", &fig1, map_selection},
+      {"fig2 open", &fig2, {}},
+      {"fig2 market selection", &fig2, market_selection},
+      {"fig2 market+carrier selection", &fig2, market_carrier_selection},
+  };
+  for (const auto& probe : probes) {
+    for (const dashboard::Zone& zone : probe.dash->zones()) {
+      if (!zone.has_query()) continue;
+      VIZQ_ASSIGN_OR_RETURN(query::AbstractQuery q,
+                            probe.dash->BuildZoneQuery(zone.name, probe.state));
+      ExecContext zctx;
+      VIZQ_RETURN_IF_ERROR(service.ExecuteQuery(zctx, q, probe_opts).status());
+      ++out.queries_run;
+      out.zone_plans.emplace_back(
+          std::string(probe.label) + ": " + zone.name,
+          zctx.log()->attachment("tde.analyze"));
+    }
   }
   return out;
 }
@@ -303,16 +331,18 @@ int SelfTest(const WorkloadResult& result) {
     }
   }
 
-  // (g) every Figure-1 zone under the carrier quick filter aggregates on
-  // the dense path (range skipping feeds it; the Airlines zone's partial
-  // aggregate below the carriers join does too).
+  // (g) every query zone of both dashboards, in every probed state,
+  // aggregates on the dense path (range skipping and token-bitmap filters
+  // feed it; the Airlines zone's partial aggregate below the carriers
+  // join does too).
   if (result.zone_plans.empty()) return Fail("selftest: no zone probes ran");
+  std::string not_dense;
   for (const auto& [zone, plan] : result.zone_plans) {
     if (plan.find(" dense") == std::string::npos) {
-      return Fail("selftest: zone " + zone +
-                  " plan lacks dense aggregation:\n" + plan);
+      not_dense += "zone " + zone + " plan lacks dense aggregation:\n" + plan;
     }
   }
+  if (!not_dense.empty()) return Fail("selftest: " + not_dense);
 
   // (a) registry snapshot: cache, pool and per-operator histograms with
   // monotone percentiles.
