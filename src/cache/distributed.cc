@@ -93,6 +93,7 @@ std::optional<ResultTable> NodeCacheLayer::Lookup(
   if (!remote.has_value()) return std::nullopt;
   auto table = ResultTable::Deserialize(*remote);
   if (!table.ok()) return std::nullopt;
+  *table = InRequestOrder(*std::move(table), q);  // the key sorts columns
   ++shared_hits_;
   // Warm the local tier; the remote entry is known-expensive enough to
   // have been cached once already.

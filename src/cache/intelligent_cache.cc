@@ -288,10 +288,49 @@ std::optional<MatchPlan> MatchQueries(
   return ProveSubsumption(stored, requested, reason);
 }
 
+namespace {
+
+// True when `a` and `b` list their output columns in the same order; no
+// allocation, so the exact probe can afford it under the shard lock.
+bool SameOutputOrder(const AbstractQuery& a, const AbstractQuery& b) {
+  return a.dimensions == b.dimensions &&
+         std::equal(a.measures.begin(), a.measures.end(), b.measures.begin(),
+                    b.measures.end(), [](const Measure& x, const Measure& y) {
+                      return x.func == y.func && x.column == y.column &&
+                             x.alias == y.alias;
+                    });
+}
+
+}  // namespace
+
+ResultTable InRequestOrder(ResultTable stored, const AbstractQuery& requested) {
+  std::vector<int> from;
+  bool identity = true;
+  for (const std::string& name : requested.OutputNames()) {
+    std::optional<int> col = stored.FindColumn(name);
+    if (!col.has_value()) return stored;
+    identity = identity && *col == static_cast<int>(from.size());
+    from.push_back(*col);
+  }
+  if (identity || static_cast<int>(from.size()) != stored.num_columns()) {
+    return stored;
+  }
+  std::vector<ResultColumn> cols;
+  for (int c : from) cols.push_back(stored.columns()[c]);
+  ResultTable out(std::move(cols));
+  out.ReserveRows(stored.num_rows());
+  for (const ResultTable::Row& row : stored.rows()) {
+    ResultTable::Row permuted;
+    for (int c : from) permuted.push_back(row[c]);
+    out.AddRow(std::move(permuted));
+  }
+  return out;
+}
+
 StatusOr<ResultTable> ApplyMatchPlan(const ResultTable& stored,
                                      const MatchPlan& plan,
                                      const AbstractQuery& requested) {
-  if (plan.exact) return stored;
+  if (plan.exact) return InRequestOrder(stored, requested);
 
   // Output schema.
   std::vector<ResultColumn> out_cols;
@@ -702,7 +741,12 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
           ctx.Count("cache.intelligent.exact_hit");
         }
         CacheHit hit{e.result, /*exact=*/true, age, is_stale};
+        const bool same_order = SameOutputOrder(e.descriptor, q);
         lock.Release();  // breadcrumb formatting happens outside the lock
+        if (!same_order) {
+          hit.table = std::make_shared<const ResultTable>(
+              InRequestOrder(*hit.table, q));
+        }
         if (ctx.log_enabled()) {
           ctx.LogEvent("cache.intelligent",
                        std::string(is_stale ? "stale-" : "") +

@@ -111,6 +111,13 @@ StatusOr<ResultTable> ApplyMatchPlan(const ResultTable& stored,
                                      const MatchPlan& plan,
                                      const query::AbstractQuery& requested);
 
+// `stored` (the result of a query with `requested`'s key) with its columns
+// permuted by name into `requested`'s output order. Cache keys sort
+// dimensions and measures, so two requests with one key can still order
+// their columns differently.
+ResultTable InRequestOrder(ResultTable stored,
+                           const query::AbstractQuery& requested);
+
 // §3.2: "The query processor might choose to adjust queries before
 // sending, in order to make the results more useful for future reuse."
 struct AdjustOptions {

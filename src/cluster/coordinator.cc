@@ -174,7 +174,7 @@ StatusOr<std::vector<ResultTable>> ClusterCoordinator::ExecuteBatch(
     for (size_t g = 0; g < views.size(); ++g) {
       group.Spawn([&call, g] { call(g); }, "scatter@" + views[g]);
     }
-    group.Wait();
+    group.RunUntil();
   }
 
   // First failing group (deterministic view order) fails the whole batch

@@ -105,6 +105,7 @@ Status Scheduler::Submit(TaskClass cls, std::function<void()> fn,
   t.name = std::move(opts.name);
   t.cls = cls;
   t.skip_if_cancelled = opts.skip_if_cancelled;
+  t.own_span = opts.own_span;
   t.session_id = opts.session_id;
   t.nested = OnWorkerThread();
   t.enqueued = std::chrono::steady_clock::now();
@@ -309,7 +310,9 @@ void Scheduler::RunTask(Task task) {
     return;
   }
 
-  {
+  if (task.own_span) {
+    task.fn();
+  } else {
     ScopedSpan span(task.ctx.StartSpan(
         "sched:" + (task.name.empty() ? TaskClassName(task.cls) : task.name)));
     task.fn();
@@ -447,7 +450,13 @@ void TaskGroup::Spawn(std::function<void()> fn, std::string name) {
 
 void TaskGroup::RunClaimed(const std::shared_ptr<State>& s,
                            const std::shared_ptr<Submitted>& task) {
-  task->fn();
+  {
+    // One span per task, opened by whichever thread claimed it, so a
+    // trace's structure does not depend on who ran the task.
+    ScopedSpan span(s->ctx.StartSpan(
+        "sched:" + (task->name.empty() ? TaskClassName(s->cls) : task->name)));
+    task->fn();
+  }
   {
     std::lock_guard<std::mutex> lock(s->mu);
     --s->in_flight;
@@ -455,25 +464,46 @@ void TaskGroup::RunClaimed(const std::shared_ptr<State>& s,
   Pump(s, 1);  // applies this task's completion on its exit path
 }
 
-std::shared_ptr<TaskGroup::Submitted> TaskGroup::StealLocked(State& s) {
-  while (!s.submitted.empty()) {
-    std::shared_ptr<Submitted> task = std::move(s.submitted.front());
-    s.submitted.pop_front();
-    if (!task->claimed.exchange(true, std::memory_order_acq_rel)) {
-      return task;
-    }
+bool TaskGroup::RunOneLocked(const std::shared_ptr<State>& s,
+                             std::unique_lock<std::mutex>& lock) {
+  while (!s->submitted.empty()) {
+    std::shared_ptr<Submitted> task = std::move(s->submitted.front());
+    s->submitted.pop_front();
+    if (task->claimed.exchange(true, std::memory_order_acq_rel)) continue;
+    ++s->stolen;
+    lock.unlock();
+    RunClaimed(s, task);
+    lock.lock();
+    return true;
   }
-  return nullptr;
+  return false;
+}
+
+bool TaskGroup::RunOne() {
+  std::unique_lock<std::mutex> lock(state_->mu);
+  return RunOneLocked(state_, lock);
+}
+
+void TaskGroup::Drain(const std::shared_ptr<State>& s, bool help,
+                      const std::function<bool()>& done) {
+  std::unique_lock<std::mutex> lock(s->mu);
+  while (s->outstanding > 0 && !(done && done())) {
+    if (help && RunOneLocked(s, lock)) continue;
+    s->done_cv.wait(lock);
+  }
+}
+
+void TaskGroup::RunUntil(const std::function<bool()>& done) {
+  Drain(state_, /*help=*/true, done);
 }
 
 void TaskGroup::Pump(const std::shared_ptr<State>& s, int64_t finished) {
   while (true) {
     std::shared_ptr<Submitted> task;
-    std::string name;
     {
       std::lock_guard<std::mutex> lock(s->mu);
-      // Trim wrappers that already dispatched (or were stolen) off the
-      // steal window so it tracks in-flight work, not group history.
+      // Trim wrappers that already dispatched (or were stolen) so the
+      // claimable list tracks in-flight work, not group history.
       while (!s->submitted.empty() &&
              s->submitted.front()->claimed.load(std::memory_order_acquire)) {
         s->submitted.pop_front();
@@ -484,30 +514,33 @@ void TaskGroup::Pump(const std::shared_ptr<State>& s, int64_t finished) {
         // last touch of the counters, so Wait() cannot observe
         // outstanding == 0 while a finishing task is mid-bookkeeping.
         s->outstanding -= finished;
-        if (finished > 0 && s->outstanding == 0) s->done_cv.notify_all();
+        if (finished > 0) s->done_cv.notify_all();
         return;
       }
       task = std::make_shared<Submitted>();
       task->fn = std::move(s->pending.front().fn);
-      name = std::move(s->pending.front().name);
+      task->name = std::move(s->pending.front().name);
       s->pending.pop_front();
       ++s->in_flight;
       s->submitted.push_back(task);
-      // A new steal target exists: wake any worker parked in Wait().
+      // A new claimable task exists: wake any caller parked in a join.
       s->done_cv.notify_all();
     }
     // The claim flag picks exactly one runner for the task: the
-    // dispatched wrapper, a Wait()ing worker that stole it, or (on a
-    // failed submit) this pumping thread. The wrapper captures the shared
-    // state, so a wrapper that loses its claim no-ops safely even after
-    // the TaskGroup object itself is gone.
+    // dispatched wrapper, a waiter that claimed it, or (on a failed
+    // submit) this pumping thread. The wrapper captures the shared state,
+    // so a wrapper that loses its claim no-ops safely even after the
+    // TaskGroup object itself is gone.
     Status submitted = s->scheduler->Submit(
         s->cls,
         [s, task] {
           if (task->claimed.exchange(true, std::memory_order_acq_rel)) return;
           RunClaimed(s, task);
         },
-        s->ctx, SubmitOptions{std::move(name), false, s->session_id});
+        s->ctx,
+        SubmitOptions{.name = task->name,
+                      .session_id = s->session_id,
+                      .own_span = true});
     if (!submitted.ok()) {
       // Load shed (admission control) or shutdown: run inline on the
       // spawning/pumping thread — the group never loses work. The
@@ -527,29 +560,9 @@ void TaskGroup::Pump(const std::shared_ptr<State>& s, int64_t finished) {
 }
 
 void TaskGroup::Wait() {
-  std::shared_ptr<State> s = state_;
-  // A scheduler worker parked here holds a worker slot while the group's
-  // queued wrappers wait for a worker — circular under saturation (every
-  // worker inside some group's Wait() and nobody left to dispatch).
-  // Workers therefore help instead of parking: claim still-queued
-  // wrappers out of the scheduler and run them inline; the dispatched
-  // wrapper later no-ops. Non-worker threads park normally, so Wait()
-  // from a test or service thread does not change dispatch order.
-  const bool help = s->scheduler->OnWorkerThread();
-  std::unique_lock<std::mutex> lock(s->mu);
-  while (s->outstanding > 0) {
-    if (help) {
-      if (std::shared_ptr<Submitted> task = StealLocked(*s);
-          task != nullptr) {
-        ++s->stolen;
-        lock.unlock();
-        RunClaimed(s, task);
-        lock.lock();
-        continue;
-      }
-    }
-    s->done_cv.wait(lock);
-  }
+  // A worker parked here would hold a worker slot while the group's queued
+  // tasks wait for a worker — circular under saturation — so it helps.
+  Drain(state_, state_->scheduler->OnWorkerThread(), {});
 }
 
 int64_t TaskGroup::spawned() const {
@@ -565,6 +578,20 @@ int64_t TaskGroup::ran_inline() const {
 int64_t TaskGroup::stolen() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->stolen;
+}
+
+void ForkJoin(Scheduler* scheduler, TaskClass cls, const ExecContext& ctx,
+              int n, const std::function<void(int)>& fn,
+              const std::string& name, bool serial) {
+  if (serial || n <= 1) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  TaskGroup group(scheduler, cls, ctx);
+  for (int i = 0; i < n; ++i) {
+    group.Spawn([&fn, i] { fn(i); }, name);
+  }
+  group.RunUntil();
 }
 
 }  // namespace vizq

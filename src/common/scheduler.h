@@ -114,6 +114,11 @@ struct SubmitOptions {
   // BatchOptions::session_id so one hot session saturating the queues
   // sheds its own work instead of everyone's.
   uint64_t session_id = 0;
+  // The task opens its "sched:" span itself, so the scheduler adds none.
+  // TaskGroup sets it: whichever thread claims a group task (the
+  // dispatched wrapper or a waiter) opens the one span, and a wrapper
+  // that lost its claim leaves no trace.
+  bool own_span = false;
 };
 
 class Scheduler {
@@ -171,6 +176,7 @@ class Scheduler {
     uint64_t session_id = 0;
     bool has_deadline = false;
     bool skip_if_cancelled = false;
+    bool own_span = false;
     bool nested = false;  // submitted from a worker of this scheduler
     std::chrono::steady_clock::time_point deadline{};
     std::chrono::steady_clock::time_point enqueued{};
@@ -228,12 +234,16 @@ class Scheduler {
 // ThreadPool / CountDownLatch pattern. Spawn() enqueues onto the group's
 // scheduler and class; a shed or post-shutdown submit runs the task inline
 // on the spawning (or pumping) thread, so the group never loses work.
-// Wait() blocks until every spawned task finished; the destructor waits.
-// When Wait() runs on a scheduler worker it does not merely park: it
-// claims the group's still-queued tasks and runs them inline, so workers
-// blocked joining nested fan-outs cannot starve the very tasks they wait
-// for (every worker parked in some Wait() would otherwise be a circular
-// wait under saturation).
+//
+// Caller-runs (DESIGN.md §10): a thread waiting on its own fan-out runs
+// the fan-out's still-queued tasks itself (RunOne, RunUntil, ForkJoin), so
+// a join never needs a free worker and a waiter holding what every worker
+// is parked on (a node's cpu slot, say) cannot make a circular wait. A
+// claim flag per task picks exactly one runner: the dispatched wrapper or
+// the waiter that claimed it first; the other no-ops. Wait() blocks until
+// every spawned task finished: on a scheduler worker it runs queued tasks
+// like RunUntil(), elsewhere it parks, so a test or service thread's
+// Wait() does not change dispatch order. The destructor waits.
 //
 // `max_concurrency` > 0 bounds how many of the group's tasks are in
 // flight at once (the §3.5 max_parallel_queries semantics); further
@@ -253,11 +263,21 @@ class TaskGroup {
   void Spawn(std::function<void()> fn, std::string name = {});
   void Wait();
 
+  // Claims one of the group's queued (submitted, not yet started) tasks
+  // and runs it on the calling thread. False when none is queued.
+  bool RunOne();
+  // Runs the group's queued tasks on the calling thread until `done()`
+  // holds or no spawned task is left unfinished, parking only while
+  // nothing of the group is queued. `done` runs under the group's lock
+  // and must be made true by a task body: every task completion and
+  // every newly queued task wakes the parked caller. An empty `done`
+  // waits for every spawned task.
+  void RunUntil(const std::function<bool()>& done = {});
+
   int64_t spawned() const;
   // Tasks that were shed by the scheduler and ran inline instead.
   int64_t ran_inline() const;
-  // Still-queued tasks a Wait()ing scheduler worker claimed and ran
-  // itself instead of parking.
+  // Still-queued tasks a waiting thread claimed and ran itself.
   int64_t stolen() const;
 
  private:
@@ -266,10 +286,11 @@ class TaskGroup {
     std::string name;
   };
   // A task handed to the scheduler. The claim flag picks exactly one
-  // runner: the dispatched wrapper, a Wait()ing worker that stole it, or
-  // the pumping thread when the submit itself failed.
+  // runner: the dispatched wrapper, a waiter that claimed it, or the
+  // pumping thread when the submit itself failed.
   struct Submitted {
     std::function<void()> fn;
+    std::string name;
     std::atomic<bool> claimed{false};
   };
   // All group state sits behind a shared_ptr: wrappers queued in the
@@ -285,10 +306,11 @@ class TaskGroup {
     uint64_t session_id = 0;
 
     std::mutex mu;
+    // Notified on every completion and every newly queued task.
     std::condition_variable done_cv;
     std::deque<Pending> pending;
-    // Submitted-but-possibly-unstarted wrappers: the steal window for
-    // Wait()ing workers. Claimed entries are trimmed lazily.
+    // Submitted-but-possibly-unstarted wrappers: what waiters claim.
+    // Claimed entries are trimmed lazily.
     std::deque<std::shared_ptr<Submitted>> submitted;
     int64_t outstanding = 0;  // spawned, not yet finished
     int64_t in_flight = 0;    // submitted or running
@@ -304,12 +326,22 @@ class TaskGroup {
   // Runs a claimed task and its completion bookkeeping, then pumps.
   static void RunClaimed(const std::shared_ptr<State>& s,
                          const std::shared_ptr<Submitted>& task);
-  // Pops the first unclaimed submitted wrapper, claiming it; null when
-  // none remain. Requires s.mu held.
-  static std::shared_ptr<Submitted> StealLocked(State& s);
+  // Claims and runs one queued task on the caller (counted as stolen).
+  // Takes `lock` on s->mu held and returns with it held.
+  static bool RunOneLocked(const std::shared_ptr<State>& s,
+                           std::unique_lock<std::mutex>& lock);
+  static void Drain(const std::shared_ptr<State>& s, bool help,
+                    const std::function<bool()>& done);
 
   std::shared_ptr<State> state_;
 };
+
+// Runs fn(0), ..., fn(n - 1) as one fork-join under `cls`: in order on the
+// caller when `serial` or n <= 1, otherwise as a TaskGroup the caller
+// drains itself (RunUntil), so the join never waits for a free worker.
+void ForkJoin(Scheduler* scheduler, TaskClass cls, const ExecContext& ctx,
+              int n, const std::function<void(int)>& fn,
+              const std::string& name, bool serial = false);
 
 }  // namespace vizq
 

@@ -1,7 +1,6 @@
 #include "src/dashboard/query_service.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #include "src/obs/exemplar.h"
@@ -205,6 +204,8 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
           if (remote.has_value()) {
             auto table = ResultTable::Deserialize(*remote);
             if (table.ok()) {
+              // The shared key sorts columns; answer in this request's order.
+              *table = cache::InRequestOrder(*std::move(table), batch[i]);
               caches_->intelligent.Put(batch[i], *table, /*eval_cost_ms=*/1.0,
                                        bctx);
               results[i] = *std::move(table);
@@ -286,7 +287,6 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     double ms = 0;
   };
   std::mutex mu;
-  std::condition_variable cv;
   std::vector<GroupOutcome> completed;
 
   // Each group's work nests under its own "group" span. The serving
@@ -319,11 +319,8 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     } else {
       outcome.status = result.status();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      completed.push_back(std::move(outcome));
-    }
-    cv.notify_one();
+    std::lock_guard<std::mutex> lock(mu);
+    completed.push_back(std::move(outcome));
   };
 
   // Everything from dispatch to the last resolved result is `execution`
@@ -383,8 +380,13 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
   for (size_t done = 0; done < groups.size(); ++done) {
     GroupOutcome outcome;
     if (workers != nullptr) {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !completed.empty(); });
+      // Caller-runs: the serving thread runs its own still-queued groups
+      // rather than wait for a worker to dispatch them.
+      workers->RunUntil([&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return !completed.empty();
+      });
+      std::lock_guard<std::mutex> lock(mu);
       outcome = std::move(completed.back());
       completed.pop_back();
     } else {
@@ -437,7 +439,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
       }
     }
   }
-  if (workers != nullptr) workers->Wait();
+  if (workers != nullptr) workers->RunUntil();
 
   // When the context itself gave out (deadline / cancellation), the batch
   // is over: don't burn more time in the safety net; surface the context's

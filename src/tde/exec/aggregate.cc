@@ -413,15 +413,8 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
                           ExecStats::kStageMerge);
     }
   };
-  if (merge_.serial_measurement || prep_tasks <= 1) {
-    for (int t = 0; t < prep_tasks; ++t) prep_task(t);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int t = 0; t < prep_tasks; ++t) {
-      group.Spawn([&prep_task, t] { prep_task(t); }, "final-merge-prep");
-    }
-    group.Wait();
-  }
+  ForkJoin(&Scheduler::Global(), merge_.priority, ctx_, prep_tasks, prep_task,
+           "final-merge-prep", merge_.serial_measurement);
   for (const Status& s : prep_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }
@@ -471,15 +464,8 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
       stats_->AddFraction(seconds, merged, section, ExecStats::kStageMerge);
     }
   };
-  if (merge_.serial_measurement) {
-    for (int p = 0; p < parts; ++p) merge_task(p);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int p = 0; p < parts; ++p) {
-      group.Spawn([&merge_task, p] { merge_task(p); }, "final-merge");
-    }
-    group.Wait();
-  }
+  ForkJoin(&Scheduler::Global(), merge_.priority, ctx_, parts, merge_task,
+           "final-merge", merge_.serial_measurement);
   for (const Status& s : task_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }
@@ -519,15 +505,8 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
                           ExecStats::kStageMerge);
     }
   };
-  if (merge_.serial_measurement || parts <= 1) {
-    for (int p = 0; p < parts; ++p) emit_task(p);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int p = 0; p < parts; ++p) {
-      group.Spawn([&emit_task, p] { emit_task(p); }, "final-merge-emit");
-    }
-    group.Wait();
-  }
+  ForkJoin(&Scheduler::Global(), merge_.priority, ctx_, parts, emit_task,
+           "final-merge-emit", merge_.serial_measurement);
   for (const Status& s : emit_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }

@@ -43,20 +43,16 @@ Status ExchangeOperator::Open() {
     return OkStatus();  // inputs run lazily on first Next()
   }
   const int n = static_cast<int>(inputs_.size());
-  // Zero-initialized: all inputs unclaimed.
-  claimed_ = std::make_unique<std::atomic<bool>[]>(n);
   group_ = std::make_unique<TaskGroup>(scheduler_, priority_, ctx_);
   for (int i = 0; i < n; ++i) {
     group_->Spawn(
         [this, i] {
-          // The consumer may have run this input inline already (scheduler
-          // saturation); whoever wins the claim runs it exactly once.
-          if (!ClaimProducer(i)) return;
-          // Bounded is a run-time property: when the scheduler sheds this
-          // wrapper (or Wait() steals it) it executes on the consumer
-          // thread, which cannot simultaneously drain queue_ — respecting
-          // max_queue_ there would deadlock against ourselves, exactly
-          // like RunOneProducerInline.
+          // Bounded is a run-time property: a producer the consumer runs
+          // itself (claimed through RunOne, or shed by the scheduler)
+          // executes on the consumer thread, which cannot drain queue_
+          // while inside the producer — respecting max_queue_ there would
+          // deadlock against ourselves. It buffers its whole input
+          // instead; memory stays bounded by the input's size.
           ProducerLoop(i,
                        /*bounded=*/std::this_thread::get_id() !=
                            consumer_tid_);
@@ -65,10 +61,6 @@ Status ExchangeOperator::Open() {
   }
   opened_ = true;
   return OkStatus();
-}
-
-bool ExchangeOperator::ClaimProducer(int input_index) {
-  return !claimed_[input_index].exchange(true, std::memory_order_acq_rel);
 }
 
 Status ExchangeOperator::RunInputsSerially() {
@@ -161,19 +153,6 @@ void ExchangeOperator::ProducerLoop(int input_index, bool bounded) {
   can_pop_.notify_all();
 }
 
-bool ExchangeOperator::RunOneProducerInline() {
-  for (int i = 0; i < static_cast<int>(inputs_.size()); ++i) {
-    if (ClaimProducer(i)) {
-      // Unbounded: the consumer cannot simultaneously drain the queue, so
-      // respecting max_queue_ here would deadlock against ourselves.
-      // Memory stays bounded by the input's size, like serial mode.
-      ProducerLoop(i, /*bounded=*/false);
-      return true;
-    }
-  }
-  return false;
-}
-
 StatusOr<bool> ExchangeOperator::Next(Batch* batch) {
   if (serial_measurement_) {
     if (!serial_done_) VIZQ_RETURN_IF_ERROR(RunInputsSerially());
@@ -183,7 +162,6 @@ StatusOr<bool> ExchangeOperator::Next(Batch* batch) {
     return true;
   }
   std::unique_lock<std::mutex> lock(mu_);
-  int idle_spins = 0;
   while (true) {
     if (!queue_.empty()) {
       *batch = std::move(queue_.front());
@@ -193,15 +171,16 @@ StatusOr<bool> ExchangeOperator::Next(Batch* batch) {
     }
     if (live_producers_ == 0) break;
     VIZQ_RETURN_IF_ERROR(ctx_.CheckContinue("exchange consumer"));
-    can_pop_.wait_for(lock, std::chrono::milliseconds(2));
-    if (queue_.empty() && live_producers_ > 0 && ++idle_spins >= 5) {
-      // ~10ms with nothing to read: the scheduler may be saturated and
-      // our producers still queued. Help out by running an unstarted
-      // input inline — the Exchange drains even with zero free workers.
-      idle_spins = 0;
-      lock.unlock();
-      RunOneProducerInline();
-      lock.lock();
+    // Caller-runs: nothing to read, so run one of our own producers that
+    // no worker has started yet instead of waiting for a worker.
+    lock.unlock();
+    const bool ran = group_->RunOne();
+    lock.lock();
+    if (ran) continue;
+    // Every producer is claimed and running elsewhere: wait for a batch.
+    // The context cannot signal this CV, so wait in slices and poll it.
+    if (queue_.empty() && live_producers_ > 0) {
+      can_pop_.wait_for(lock, std::chrono::milliseconds(2));
     }
   }
   if (!first_error_.ok()) return first_error_;
@@ -215,7 +194,10 @@ void ExchangeOperator::StopProducers() {
   }
   can_push_.notify_all();
   if (group_ != nullptr) {
-    group_->Wait();
+    // Producers nobody started yet see cancelled_ and return at once, so
+    // the consumer runs them itself rather than wait for a worker.
+    group_->RunUntil();
+    stolen_ += group_->stolen();
     group_.reset();
   }
 }

@@ -11,12 +11,13 @@
 //     queue wakes on the ExecContext's cancellation/deadline, records the
 //     context's typed error and exits — the consumer surfaces
 //     kDeadlineExceeded/kAborted, never a silently truncated OK result;
-//   * saturation robustness: every producer input is guarded by a claim
-//     flag. When the scheduler is saturated (queued producers not yet
-//     dispatched) and the consumer has nothing to read, the consumer
-//     claims an unstarted input and runs it inline (unbounded buffering,
-//     like serial-measurement mode), so an Exchange can always drain even
-//     with zero available workers;
+//   * caller-runs (DESIGN.md §10): whenever the consumer has nothing to
+//     read it claims one of its producers that no worker has started yet
+//     (TaskGroup::RunOne) and runs it inline, buffering that input
+//     unbounded, and it waits for a batch only while every producer is
+//     already running elsewhere. An Exchange never waits for a free
+//     worker, so it drains even with zero available workers, and a
+//     producer queued behind other queries' work costs no idle time;
 //   * observability: producer wait/run times land in the sched.* metrics
 //     and scheduler spans like every other task.
 //
@@ -28,7 +29,6 @@
 #ifndef VIZQUERY_TDE_EXEC_EXCHANGE_H_
 #define VIZQUERY_TDE_EXEC_EXCHANGE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -68,6 +68,9 @@ class ExchangeOperator : public Operator {
   Status Close() override;
 
   int num_inputs() const { return static_cast<int>(inputs_.size()); }
+  // Producers the consumer thread claimed from the scheduler queue and
+  // ran itself, summed over every finished Open()..Close() fan-out.
+  int64_t stolen() const { return stolen_; }
 
   // Registers a morsel queue shared by this Exchange's scan inputs. Open()
   // rewinds every registered queue before producers start, so re-opening
@@ -78,14 +81,9 @@ class ExchangeOperator : public Operator {
 
  private:
   // Runs input `input_index` to completion, pushing batches. `bounded`
-  // producers respect max_queue_; the consumer's inline fallback runs
+  // producers respect max_queue_; a producer on the consumer thread runs
   // unbounded (buffering everything) to avoid blocking on itself.
   void ProducerLoop(int input_index, bool bounded);
-  // Atomically claims an input; false when someone else already ran it.
-  bool ClaimProducer(int input_index);
-  // Consumer-side help under scheduler saturation: claim one unstarted
-  // input and run it inline. False when every input is claimed.
-  bool RunOneProducerInline();
   void StopProducers();
   Status RunInputsSerially();
 
@@ -107,11 +105,11 @@ class ExchangeOperator : public Operator {
   bool cancelled_ = false;
   Status first_error_;
   std::unique_ptr<TaskGroup> group_;
-  std::unique_ptr<std::atomic<bool>[]> claimed_;
+  int64_t stolen_ = 0;
   std::vector<MorselQueuePtr> morsel_queues_;
-  // The thread that called Open() — the consumer. A producer wrapper
-  // executing on it (shed or stolen) must run unbounded: the consumer
-  // cannot drain its own queue while inside the producer.
+  // The thread that called Open() — the consumer. A producer executing
+  // on it (shed or claimed) must run unbounded: the consumer cannot
+  // drain its own queue while inside the producer.
   std::thread::id consumer_tid_;
   bool opened_ = false;
   bool serial_measurement_ = false;

@@ -124,11 +124,7 @@ Status SharedBuildState::Build(const ExecContext& ctx) {
                                     ExecStats::kStageBuild);
       }
     };
-    if (options_.build_dop > 1) {
-      RunBuildTasks(ncols, ctx, mat_task);
-    } else {
-      for (int c = 0; c < ncols; ++c) mat_task(c);
-    }
+    RunBuildTasks(ncols, ctx, mat_task);
     for (const Status& s : mat_status) {
       VIZQ_RETURN_IF_ERROR(s);
     }
@@ -164,17 +160,8 @@ Status SharedBuildState::BuildSerial(const ExecContext& ctx, int64_t rows) {
 
 void SharedBuildState::RunBuildTasks(int n, const ExecContext& ctx,
                                      const std::function<void(int)>& fn) {
-  if (options_.serial_measurement || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // The TaskGroup inherits the query's priority class; Wait() on a worker
-  // thread steals queued build tasks instead of parking (scheduler.h).
-  TaskGroup group(&Scheduler::Global(), options_.priority, ctx);
-  for (int i = 0; i < n; ++i) {
-    group.Spawn([&fn, i] { fn(i); }, "join-build");
-  }
-  group.Wait();
+  ForkJoin(&Scheduler::Global(), options_.priority, ctx, n, fn, "join-build",
+           options_.serial_measurement || options_.build_dop <= 1);
 }
 
 Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,

@@ -82,8 +82,8 @@ class SharedBuildState {
   Status Build(const ExecContext& ctx);
   Status BuildSerial(const ExecContext& ctx, int64_t rows);
   Status BuildPartitioned(const ExecContext& ctx, int64_t rows);
-  // Runs fn(0..n-1): on a TaskGroup under options_.priority, or
-  // sequentially in serial-measurement mode.
+  // Runs fn(0..n-1) through ForkJoin under options_.priority; in order
+  // on the caller in serial-measurement mode or at build_dop 1.
   void RunBuildTasks(int n, const ExecContext& ctx,
                      const std::function<void(int)>& fn);
 

@@ -50,31 +50,28 @@ StatusOr<std::vector<RowRange>> ComputeMatchingRuns(const Table& table,
 
 std::vector<std::vector<RowRange>> SplitRanges(
     const std::vector<RowRange>& ranges, int dop) {
-  if (dop < 1) dop = 1;
+  if (dop <= 1) return {ranges};
+  int64_t total = 0;
+  for (const RowRange& r : ranges) total += r.count;
+  // Fraction f takes rows [total*f/dop, total*(f+1)/dop) of the ranges'
+  // concatenation: contiguous slices in ascending row order whose sizes
+  // differ by at most one row (§4.3's skew concern, settled by rows, not
+  // runs). A range straddling a cut is split there.
   std::vector<std::vector<RowRange>> out(dop);
-  // Greedy least-loaded assignment keeps the per-thread row counts close,
-  // mitigating (not eliminating) the data-skew concern §4.3 raises.
-  std::vector<int64_t> load(dop, 0);
-  // Assign big ranges first.
-  std::vector<RowRange> sorted = ranges;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const RowRange& a, const RowRange& b) {
-              return a.count > b.count;
-            });
-  for (const RowRange& r : sorted) {
-    int best = 0;
-    for (int i = 1; i < dop; ++i) {
-      if (load[i] < load[best]) best = i;
+  int f = 0;
+  int64_t seen = 0;  // rows assigned so far
+  for (RowRange r : ranges) {
+    while (r.count > 0) {
+      const int64_t end = total * (f + 1) / dop;
+      const int64_t take = std::min(r.count, end - seen);
+      if (take > 0) {
+        out[f].push_back(RowRange{r.start, take});
+        r.start += take;
+        r.count -= take;
+        seen += take;
+      }
+      if (seen == end && f + 1 < dop) ++f;
     }
-    out[best].push_back(r);
-    load[best] += r.count;
-  }
-  // Keep each thread's ranges in ascending row order for locality.
-  for (auto& group : out) {
-    std::sort(group.begin(), group.end(),
-              [](const RowRange& a, const RowRange& b) {
-                return a.start < b.start;
-              });
   }
   return out;
 }

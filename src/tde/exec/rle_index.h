@@ -28,7 +28,9 @@ StatusOr<std::vector<RowRange>> ComputeMatchingRuns(const Table& table,
                                                     int rle_column,
                                                     const ExprPtr& predicate);
 
-// Splits `ranges` into `dop` groups balanced by total row count.
+// Splits the ascending `ranges` into `dop` contiguous slices, in order,
+// whose row counts differ by at most one; a range may be cut in two.
+// At dop 1 the ranges pass through untouched.
 std::vector<std::vector<RowRange>> SplitRanges(
     const std::vector<RowRange>& ranges, int dop);
 

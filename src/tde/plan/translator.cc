@@ -110,13 +110,11 @@ StatusOr<OperatorPtr> Translator::TranslateRleScan(const LogicalOp& op,
       ranges = (*groups)[fraction];
     }
   } else {
+    // The slices are contiguous and in row order: their concatenation is
+    // already ascending.
     for (const auto& g : *groups) {
       ranges.insert(ranges.end(), g.begin(), g.end());
     }
-    std::sort(ranges.begin(), ranges.end(),
-              [](const RowRange& a, const RowRange& b) {
-                return a.start < b.start;
-              });
   }
   auto scan = std::make_unique<RleIndexScanOperator>(
       op.table, op.scan_columns, std::move(ranges), stats_);

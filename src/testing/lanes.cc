@@ -279,7 +279,9 @@ ExecutionLanes::ExecutionLanes(Dataset dataset, LaneSetupOptions options)
 }
 
 StatusOr<OraclePair> ExecutionLanes::OracleFor(const AbstractQuery& q) {
-  std::string key = q.ToKeyString();
+  // Not ToKeyString(): that key sorts dimensions and measures, and the
+  // oracle's answer carries the request's column order.
+  std::string key = q.Serialize();
   auto it = oracle_memo_.find(key);
   if (it != oracle_memo_.end()) return it->second;
   OraclePair pair;

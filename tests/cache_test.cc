@@ -75,6 +75,60 @@ TEST(IntelligentCacheTest, ExactHit) {
   EXPECT_EQ(cache.stats().exact_hits, 1);
 }
 
+// Regression (fuzzer seed 31, iteration 191): cache keys sort dimensions
+// and measures, so `COUNT(*), MAX(day)` and `MAX(day), COUNT(*)` over the
+// same group-by (with `day` both a dimension and an aggregate argument)
+// share one key. An exact hit — in the probe, through MatchQueries, or
+// from the shared tier — must answer in the request's column order.
+TEST(IntelligentCacheTest, ExactHitAnswersInRequestColumnOrder) {
+  CacheTestEnv env;
+  AbstractQuery stored = QueryBuilder("tde", "sales")
+                             .Dim("product")
+                             .Dim("day")
+                             .Agg(AggFunc::kCountStar, "")
+                             .Agg(AggFunc::kMax, "day")
+                             .Build();
+  AbstractQuery requested = QueryBuilder("tde", "sales")
+                                .Dim("product")
+                                .Dim("day")
+                                .Agg(AggFunc::kMax, "day")
+                                .Agg(AggFunc::kCountStar, "")
+                                .Build();
+  ASSERT_EQ(stored.ToKeyString(), requested.ToKeyString());
+  ResultTable truth = env.Truth(requested);
+  const std::vector<std::string> want = requested.OutputNames();
+  auto expect_request_order = [&](const ResultTable& got, const char* path) {
+    ASSERT_EQ(got.num_columns(), static_cast<int>(want.size())) << path;
+    for (size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got.columns()[c].name, want[c]) << path << " column " << c;
+    }
+    EXPECT_TRUE(ResultTable::SameUnordered(got, truth)) << path;
+  };
+
+  IntelligentCache cache;
+  cache.Put(stored, env.Truth(stored), 10.0);
+  auto hit = cache.LookupHit(requested, ExecContext::Background());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->exact);
+  expect_request_order(*hit->table, "exact probe");
+
+  auto plan = MatchQueries(stored, env.Truth(stored).columns(), requested);
+  ASSERT_TRUE(plan.has_value());
+  auto applied = ApplyMatchPlan(env.Truth(stored), *plan, requested);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  expect_request_order(*applied, "match plan");
+
+  DistributedCacheTier::Options tier_options;
+  tier_options.net.simulate_latency = false;
+  auto tier = std::make_shared<DistributedCacheTier>(tier_options);
+  NodeCacheLayer writer("a", tier);
+  NodeCacheLayer reader("b", tier);
+  writer.Put(stored, env.Truth(stored), 10.0);
+  auto remote = reader.Lookup(requested);
+  ASSERT_TRUE(remote.has_value());
+  expect_request_order(*remote, "shared tier");
+}
+
 TEST(IntelligentCacheTest, RollupMatchesDirectExecution) {
   CacheTestEnv env;
   IntelligentCache cache;

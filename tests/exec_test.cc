@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "src/common/str_util.h"
@@ -310,6 +313,57 @@ TEST(ExchangeTest, ShedProducersRunUnboundedOnConsumerThread) {
   EXPECT_EQ(rows, 128);
 }
 
+// Caller-runs: with the scheduler's only worker busy, the consumer claims
+// every producer out of the queue (TaskGroup::RunOne) and runs it itself
+// instead of waiting for a worker.
+TEST(ExchangeTest, ConsumerRunsEveryProducerWhileWorkersAreBusy) {
+  // Declared before the scheduler, whose destructor joins the worker
+  // still waking up on them.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gated = false;
+  bool released = false;
+  Scheduler sched(SchedulerOptions{.num_threads = 1});
+  ASSERT_TRUE(sched
+                  .Submit(TaskClass::kInteractive,
+                          [&] {
+                            std::unique_lock<std::mutex> lock(mu);
+                            gated = true;
+                            cv.notify_all();
+                            cv.wait(lock, [&] { return released; });
+                          })
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+  std::vector<OperatorPtr> inputs;
+  for (int f = 0; f < 3; ++f) {
+    // Past max_queue_ (8) one-row batches per input.
+    inputs.push_back(std::make_unique<ManyBatchesOp>(64));
+  }
+  ExecStats stats;
+  ExchangeOperator exchange(std::move(inputs), &stats, /*serial=*/false,
+                            ExecContext::Background(), &sched);
+  ASSERT_TRUE(exchange.Open().ok());
+  int64_t rows = 0;
+  Batch batch;
+  while (true) {
+    auto more = exchange.Next(&batch);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    rows += batch.num_rows;
+  }
+  ASSERT_TRUE(exchange.Close().ok());
+  EXPECT_EQ(rows, 3 * 64);
+  EXPECT_EQ(exchange.stolen(), 3);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+}
+
 // Regression: a morsel-mode Exchange must be re-openable. The shared
 // MorselQueue cursor is rewound by Open(), so a second run re-scans the
 // table instead of silently returning zero rows from a drained queue.
@@ -478,6 +532,43 @@ TEST(RleIndexExecTest, SplitRangesBalancesLoad) {
   }
   EXPECT_EQ(total, 3000);
   EXPECT_LE(biggest, 1100);  // greedy balance keeps the max near 1000
+}
+
+TEST(RleIndexExecTest, SplitRangesCutsContiguousSlicesByRows) {
+  const std::vector<RowRange> ranges = {
+      {0, 1000}, {2000, 10}, {3000, 990}, {5000, 500}, {7000, 501}};
+  auto rows_of = [](const std::vector<RowRange>& rs) {
+    std::vector<int64_t> rows;
+    for (const RowRange& r : rs) {
+      for (int64_t i = 0; i < r.count; ++i) rows.push_back(r.start + i);
+    }
+    return rows;
+  };
+  const std::vector<int64_t> input_rows = rows_of(ranges);
+  for (int dop : {1, 2, 3, 4, 7}) {
+    auto groups = SplitRanges(ranges, dop);
+    ASSERT_EQ(groups.size(), static_cast<size_t>(dop));
+    // In order, the fractions tile the input ranges exactly.
+    std::vector<RowRange> joined;
+    int64_t lightest = INT64_MAX;
+    int64_t heaviest = 0;
+    for (const auto& g : groups) {
+      int64_t load = 0;
+      for (const RowRange& r : g) load += r.count;
+      lightest = std::min(lightest, load);
+      heaviest = std::max(heaviest, load);
+      joined.insert(joined.end(), g.begin(), g.end());
+    }
+    EXPECT_EQ(rows_of(joined), input_rows) << "dop " << dop;
+    EXPECT_LE(heaviest - lightest, 1) << "dop " << dop;
+  }
+  // DOP 1 passes the ranges through untouched.
+  auto one = SplitRanges(ranges, 1);
+  ASSERT_EQ(one[0].size(), ranges.size());
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(one[0][i].start, ranges[i].start);
+    EXPECT_EQ(one[0][i].count, ranges[i].count);
+  }
 }
 
 TEST(AggregateTest, PartialFinalComposition) {

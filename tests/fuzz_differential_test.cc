@@ -38,6 +38,20 @@ TEST(DifferentialFuzz, SecondSeedWindowAgrees) {
   EXPECT_GT(report.lane_checks, 0);
 }
 
+// Regression: seed 31's window reaches, at iteration 191,
+// `dims=d2,day; aggs=COUNT(*), MAX(day)` after a query with the same key
+// but its measures in the other order. Keys sort columns, so an exact
+// cache answer (and the oracle memo) used to come back in the first
+// query's column order.
+TEST(DifferentialFuzz, SameKeyOtherColumnOrderAgrees) {
+  FuzzOptions options;
+  options.seed = 31;
+  options.iterations = 192;
+  FuzzReport report = RunDifferentialFuzz(options);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.iterations_run, 192);
+}
+
 // Morsel-lane sweep: engine-only iterations (federated/deadline lanes
 // off, so no simulated-I/O sleeps) bringing the morsel_parallel lane to
 // >= 200 bounded iterations across this file. The lane runs every query

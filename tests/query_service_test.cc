@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
 #include "src/dashboard/renderer.h"
 #include "src/federation/simulated_source.h"
 #include "tests/test_util.h"
@@ -195,6 +200,73 @@ TEST_F(QueryServiceTest, FusionReducesRemoteQueries) {
   BatchReport unfused_report;
   ASSERT_TRUE(service_.ExecuteBatch(batch, no_fuse, &unfused_report).ok());
   EXPECT_EQ(unfused_report.fused_groups, 3);
+}
+
+// Regression: the serving thread runs its own still-queued groups. With
+// every Scheduler::Global() worker gated, a concurrent batch finishes only
+// if the thread waiting on it runs its groups itself; parked on a
+// condition variable, it would wait for a worker that never comes (the
+// circular wait a node's slot holder used to hit).
+TEST_F(QueryServiceTest, ConcurrentBatchCompletesWithEveryWorkerGated) {
+  Scheduler& sched = Scheduler::Global();
+  // Shared with the gate tasks, which may still be waking up on the
+  // process-wide workers after this test returns.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    int gated = 0;
+    bool released = false;
+    bool batch_done = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  for (int w = 0; w < sched.num_threads(); ++w) {
+    ASSERT_TRUE(sched
+                    .Submit(TaskClass::kInteractive,
+                            [gate] {
+                              std::unique_lock<std::mutex> lock(gate->mu);
+                              ++gate->gated;
+                              gate->cv.notify_all();
+                              gate->cv.wait(lock,
+                                            [&] { return gate->released; });
+                            })
+                    .ok());
+  }
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&] { return gate->gated == sched.num_threads(); });
+  }
+  std::vector<AbstractQuery> batch = {
+      Q({"region"}, {{AggFunc::kSum, "units"}}),
+      Q({"product"}, {{AggFunc::kMax, "price"}}),
+      Q({"region", "product"}, {{AggFunc::kCountStar, ""}}),
+  };
+  BatchOptions opts;
+  opts.fuse_queries = false;
+  opts.analyze_batch = false;
+  opts.max_parallel_queries = 2;
+  BatchReport report;
+  StatusOr<std::vector<ResultTable>> results = std::vector<ResultTable>{};
+  std::thread serving([&] {
+    results = service_.ExecuteBatch(batch, opts, &report);
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->batch_done = true;
+    gate->cv.notify_all();
+  });
+  bool completed;
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    completed = gate->cv.wait_for(lock, std::chrono::seconds(30),
+                                  [&] { return gate->batch_done; });
+    gate->released = true;  // frees the workers either way
+  }
+  gate->cv.notify_all();
+  serving.join();
+  EXPECT_TRUE(completed) << "batch waited for a gated worker";
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(report.remote_queries, 3);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_GT((*results)[i].num_rows(), 0) << "query " << i;
+  }
 }
 
 TEST_F(QueryServiceTest, RefreshPurgesCachesAndConnections) {

@@ -399,6 +399,79 @@ TEST(SchedulerTest, WaitOnWorkerHelpsDrainQueuedGroupTasks) {
   EXPECT_EQ(ran.load(), 4);
 }
 
+TEST(SchedulerTest, RunOneRunsQueuedTasksOnTheCaller) {
+  Scheduler sched(SchedulerOptions{.num_threads = 1});
+  WorkerGate gate(&sched);
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  TaskGroup group(&sched, TaskClass::kInteractive);
+  for (int i = 0; i < 3; ++i) {
+    group.Spawn([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+  }
+  EXPECT_TRUE(group.RunOne());
+  EXPECT_TRUE(group.RunOne());
+  EXPECT_TRUE(group.RunOne());
+  EXPECT_FALSE(group.RunOne());  // nothing of the group is queued
+  EXPECT_EQ(group.stolen(), 3);
+  ASSERT_EQ(ran_on.size(), 3u);
+  for (std::thread::id id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+  group.Wait();
+  gate.Release();
+}
+
+// Regression for the circular wait between node cpu slots and workers: a
+// thread that is not a worker holds a slot every worker is parked on and
+// joins a fan-out of its own. The group's tasks can never get a worker, so
+// the join must run them on the joining thread.
+TEST(SchedulerTest, JoinerHoldingWhatEveryWorkerWaitsOnCompletes) {
+  constexpr int kWorkers = 2;
+  // Declared before the scheduler, whose destructor joins the workers
+  // still waking up on them.
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool slot_free = false;
+  bool joined = false;
+  Scheduler sched(SchedulerOptions{.num_threads = kWorkers});
+  for (int w = 0; w < kWorkers; ++w) {
+    ASSERT_TRUE(sched
+                    .Submit(TaskClass::kInteractive,
+                            [&] {
+                              std::unique_lock<std::mutex> lock(mu);
+                              ++parked;
+                              cv.notify_all();
+                              cv.wait(lock, [&] { return slot_free; });
+                            })
+                    .ok());
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == kWorkers; });
+  }
+  std::atomic<int> ran{0};
+  std::thread holder([&] {
+    ForkJoin(&sched, TaskClass::kInteractive, ExecContext::Background(), 4,
+             [&ran](int) { ran.fetch_add(1); }, "slot-holder-fanout");
+    std::lock_guard<std::mutex> lock(mu);
+    joined = true;
+    cv.notify_all();
+  });
+  bool completed;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    completed =
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return joined; });
+    slot_free = true;  // frees the workers either way, so the test ends
+  }
+  cv.notify_all();
+  holder.join();
+  EXPECT_TRUE(completed) << "the slot holder parked on its own fan-out";
+  EXPECT_EQ(ran.load(), 4);
+}
+
 TEST(SchedulerTest, NonPrioritizedModePublishesSharedDepthGauge) {
   obs::MetricsRegistry& metrics = obs::GlobalMetrics();
   SchedulerOptions opts;
