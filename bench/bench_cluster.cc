@@ -16,7 +16,9 @@
 // designated victim view; mid-run the victim's owner is killed. Recovery
 // is the wall time from the kill to the first *successful* batch that
 // includes the victim view — i.e. the lazy-detection + ring-reassign +
-// retry path end to end, which the selftest bounds.
+// retry path end to end, which the selftest bounds. The selftest also
+// checks bounded-load placement: no node hosts more than ceil(8 / N)
+// views at any ramp point.
 //
 //   bench_cluster --selftest          fast CI invariants
 //   bench_cluster --emit-json=PATH    full ramp -> BENCH_cluster.json (E21)
@@ -135,6 +137,7 @@ struct PointResult {
   double p50_ms = 0, p95_ms = 0;
   int64_t failovers = 0, retries = 0;
   double recovery_ms = -1;  // failover run only
+  int max_hosted = 0;       // most views one node hosts (ramp points)
 };
 
 double Percentile(std::vector<double>& v, double p) {
@@ -264,6 +267,16 @@ void Warm(Cluster& c, uint64_t seed) {
   }
 }
 
+// Bounded-load placement caps every node at ceil(views / nodes).
+int MaxHostedViews(Cluster& c, int num_nodes) {
+  int most = 0;
+  for (int i = 0; i < num_nodes; ++i) {
+    auto* node = c.coord->node("n" + std::to_string(i));
+    most = std::max(most, static_cast<int>(node->HostedViews().size()));
+  }
+  return most;
+}
+
 struct RampResult {
   std::vector<PointResult> points;
   PointResult failover;
@@ -277,6 +290,7 @@ RampResult RunRamp(double duration_s) {
     Cluster c = MakeCluster(n);
     Warm(c, seed);
     out.points.push_back(RunPoint(c, n, duration_s, seed++));
+    out.points.back().max_hosted = MaxHostedViews(c, n);
     PrintPoint("ramp", out.points.back());
   }
   {
@@ -313,10 +327,10 @@ int EmitJson(const std::string& path, const RampResult& r) {
         buf, sizeof(buf),
         "    {\"nodes\": %d, \"batches_ok\": %lld, \"goodput_per_s\": "
         "%.1f, \"shed\": %lld, \"errors\": %lld, \"p50_ms\": %.1f, "
-        "\"p95_ms\": %.1f}%s\n",
+        "\"p95_ms\": %.1f, \"max_hosted_views\": %d}%s\n",
         p.nodes, static_cast<long long>(p.ok), p.goodput_per_s,
         static_cast<long long>(p.shed), static_cast<long long>(p.errors),
-        p.p50_ms, p.p95_ms, i + 1 < r.points.size() ? "," : "");
+        p.p50_ms, p.p95_ms, p.max_hosted, i + 1 < r.points.size() ? "," : "");
     f << buf;
   }
   {
@@ -347,13 +361,16 @@ int EmitJson(const std::string& path, const RampResult& r) {
   } while (0)
 
 // Fast CI invariants: goodput scales with the node count, failures are
-// always typed, and killing an owner mid-run recovers within a bound.
+// always typed, no node hosts more than ceil(views / nodes) views, and
+// killing an owner mid-run recovers within a bound.
 int Selftest() {
   RampResult r = RunRamp(/*duration_s=*/1.2);
   double g1 = 0, g4 = 0;
   for (const auto& p : r.points) {
     CHECK_OR_FAIL(p.errors == 0, "ramp produced an untyped error");
     CHECK_OR_FAIL(p.ok > 0, "ramp point served nothing");
+    CHECK_OR_FAIL(p.max_hosted <= cluster::LoadCap(kSources, p.nodes),
+                  "a node hosts more than ceil(views / nodes) views");
     if (p.nodes == 1) g1 = p.goodput_per_s;
     if (p.nodes == 4) g4 = p.goodput_per_s;
   }

@@ -6,65 +6,66 @@ DistributedCacheTier::DistributedCacheTier()
     : DistributedCacheTier(Options()) {}
 
 std::optional<std::string> DistributedCacheTier::Get(const std::string& key) {
+  const Clock::time_point now = Clock::now();
+  gets_.fetch_add(1, std::memory_order_relaxed);
   std::string value;
   bool found = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++gets_;
     auto it = store_.find(key);
-    if (it != store_.end()) {
-      value = it->second;
+    if (it != store_.end() && it->second.visible_at <= now) {
+      value = it->second.value;
       found = true;
-      ++hits_;
     }
   }
+  if (found) hits_.fetch_add(1, std::memory_order_relaxed);
   net_.Charge(found ? static_cast<int64_t>(value.size()) : 0);
   if (!found) return std::nullopt;
   return value;
 }
 
 void DistributedCacheTier::Put(const std::string& key, std::string value) {
-  int64_t payload = static_cast<int64_t>(value.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++puts_;
-    auto it = store_.find(key);
-    if (it != store_.end()) {
-      total_bytes_ -= static_cast<int64_t>(it->second.size());
-      it->second = std::move(value);
-      total_bytes_ += payload;
-    } else {
-      store_.emplace(key, std::move(value));
-      total_bytes_ += payload;
-    }
-    // Crude capacity control: drop arbitrary entries when over budget
-    // (Redis-style maxmemory eviction).
-    while (total_bytes_ > options_.max_bytes && !store_.empty()) {
-      auto victim = store_.begin();
-      total_bytes_ -= static_cast<int64_t>(victim->second.size());
-      store_.erase(victim);
-    }
+  puts_.fetch_add(1, std::memory_order_relaxed);
+  const double cost_ms = net_.Account(static_cast<int64_t>(value.size()));
+  Clock::time_point visible_at = Clock::now();
+  if (net_.options().simulate_latency) {
+    visible_at += std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(cost_ms));
   }
-  net_.Charge(payload);
+  const int64_t bytes = EntryBytes(key, value);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = store_.find(key);
+  if (it != store_.end()) EraseLocked(it);
+  if (bytes > options_.max_bytes) return;
+  const uint64_t seq = next_seq_++;
+  auto placed =
+      store_.emplace(key, Entry{std::move(value), visible_at, seq}).first;
+  by_age_.emplace(seq, placed);
+  total_bytes_ += bytes;
+  // The new entry fits alone, so this stops before reaching it.
+  while (total_bytes_ > options_.max_bytes) {
+    EraseLocked(by_age_.begin()->second);
+  }
+}
+
+void DistributedCacheTier::EraseLocked(Store::iterator it) {
+  total_bytes_ -= EntryBytes(it->first, it->second.value);
+  by_age_.erase(it->second.seq);
+  store_.erase(it);
 }
 
 void DistributedCacheTier::Erase(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = store_.find(key);
-  if (it != store_.end()) {
-    total_bytes_ -= static_cast<int64_t>(it->second.size());
-    store_.erase(it);
-  }
+  if (it != store_.end()) EraseLocked(it);
 }
 
 int64_t DistributedCacheTier::EraseNamespace(const std::string& prefix) {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t dropped = 0;
-  // std::map is ordered, so the namespace is one contiguous key range.
   auto it = store_.lower_bound(prefix);
   while (it != store_.end() && it->first.compare(0, prefix.size(), prefix) == 0) {
-    total_bytes_ -= static_cast<int64_t>(it->second.size());
-    it = store_.erase(it);
+    EraseLocked(it++);
     ++dropped;
   }
   return dropped;
@@ -73,7 +74,13 @@ int64_t DistributedCacheTier::EraseNamespace(const std::string& prefix) {
 void DistributedCacheTier::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   store_.clear();
+  by_age_.clear();
   total_bytes_ = 0;
+}
+
+int64_t DistributedCacheTier::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_bytes_;
 }
 
 std::string SharedKey(const query::AbstractQuery& q) {

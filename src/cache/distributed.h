@@ -7,9 +7,14 @@
 // DistributedCacheTier substitutes for Redis/Cassandra: a shared,
 // thread-safe KV store whose operations pay a modeled network cost
 // (rpc::NetworkCostModel — the same model the in-process RPC transport
-// charges, so the two remote hops cannot drift apart; really slept, so
-// end-to-end benches see genuine latency). NodeCacheLayer is one worker
-// node's view: an in-memory IntelligentCache in front of the shared tier.
+// charges, so the two remote hops cannot drift apart). A Get waits for
+// its reply, so its round trip is really slept. A Put is a pipelined
+// write that awaits no reply: it returns at once, its cost is still
+// charged to simulated_ms(), and the entry becomes visible to Get only
+// once that cost has passed. The tier holds at most max_bytes (keys,
+// values and a fixed per-entry overhead) and evicts the oldest-inserted
+// entries first. NodeCacheLayer is one worker node's view: an in-memory
+// IntelligentCache in front of the shared tier.
 //
 // Keys are namespaced per published source (SharedKey): a query's entry
 // lives under "<view>\x1f<query key>", so a cluster rebalance can
@@ -20,6 +25,9 @@
 #ifndef VIZQUERY_CACHE_DISTRIBUTED_H_
 #define VIZQUERY_CACHE_DISTRIBUTED_H_
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,15 +44,32 @@ class DistributedCacheTier {
   struct Options {
     // Latency/bandwidth knobs shared with the RPC layer (src/rpc/).
     rpc::NetworkCostOptions net;
-    int64_t max_bytes = 1LL << 30;
+    // Bound on the accounted bytes (EntryBytes summed over entries).
+    int64_t max_bytes = 16LL << 20;
   };
+
+  // Accounted per entry on top of its key and value bytes: the map node,
+  // the insertion-order index node and the visibility stamp.
+  static constexpr int64_t kEntryOverheadBytes = 96;
+  static int64_t EntryBytes(const std::string& key, const std::string& value) {
+    return static_cast<int64_t>(key.size() + value.size()) +
+           kEntryOverheadBytes;
+  }
 
   DistributedCacheTier();  // default Options
   explicit DistributedCacheTier(Options options)
       : options_(options), net_(options.net) {}
 
+  // Waits for the modeled round trip. Misses on an entry whose Put has not
+  // landed yet.
   std::optional<std::string> Get(const std::string& key);
+  // Fire-and-forget: returns without sleeping. The entry is visible to Get
+  // from now + CostMs(value bytes), or at once without simulate_latency.
+  // Replaces any entry under `key`; evicts oldest-inserted entries while
+  // the tier is over max_bytes (an entry larger than that is not kept).
   void Put(const std::string& key, std::string value);
+  // Erase, EraseNamespace and Clear also drop entries not yet visible, so
+  // an erased write never lands later.
   void Erase(const std::string& key);
   // Drops every entry whose key starts with `prefix` and returns how many
   // were dropped. Rebalance invalidation: erase a moved source's whole
@@ -52,21 +77,38 @@ class DistributedCacheTier {
   int64_t EraseNamespace(const std::string& prefix);
   void Clear();
 
-  int64_t gets() const { return gets_; }
-  int64_t hits() const { return hits_; }
-  int64_t puts() const { return puts_; }
+  // Counters are atomics: benches read them while clients run.
+  int64_t gets() const { return gets_.load(std::memory_order_relaxed); }
+  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  int64_t puts() const { return puts_.load(std::memory_order_relaxed); }
+  // Accounted bytes held (never above max_bytes).
+  int64_t bytes() const;
   // Total simulated network time spent against this tier.
   double simulated_ms() const { return net_.simulated_ms(); }
 
  private:
+  using Clock = std::chrono::steady_clock;
+  struct Entry {
+    std::string value;
+    Clock::time_point visible_at;
+    uint64_t seq;  // insertion order: the eviction index key
+  };
+  using Store = std::map<std::string, Entry>;
+
+  void EraseLocked(Store::iterator it);
+
   Options options_;
   rpc::NetworkCostModel net_;
-  std::mutex mu_;
-  std::map<std::string, std::string> store_;
+  mutable std::mutex mu_;
+  // Ordered by key, so a namespace is one contiguous key range.
+  Store store_;
+  // The same entries by insertion sequence, oldest first.
+  std::map<uint64_t, Store::iterator> by_age_;
+  uint64_t next_seq_ = 0;
   int64_t total_bytes_ = 0;
-  int64_t gets_ = 0;
-  int64_t hits_ = 0;
-  int64_t puts_ = 0;
+  std::atomic<int64_t> gets_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> puts_{0};
 };
 
 // The shared-tier key for one query's cached result: the owning view's

@@ -38,12 +38,29 @@ Status ClusterCoordinator::Publish(const SourceSpec& spec) {
                            spec.view.name + "'");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string owner = ring_.OwnerOf(spec.view.name);
-  if (owner.empty()) return Internal("cluster publish: empty ring");
-  VIZQ_RETURN_IF_ERROR(nodes_by_id_.at(owner)->AddSource(spec));
+  std::vector<std::string> views = CatalogViewsLocked();
+  views.push_back(spec.view.name);
+  const std::map<std::string, std::string> placement =
+      PlaceBounded(ring_, std::move(views));
+  if (placement.empty()) return Internal("cluster publish: empty ring");
+  // A re-published view re-registers where it is hosted now; the move to
+  // its bounded-load owner, if any, is an ordinary move below.
+  auto current = owner_.find(spec.view.name);
+  const std::string host = current == owner_.end()
+                               ? placement.at(spec.view.name)
+                               : current->second;
+  VIZQ_RETURN_IF_ERROR(nodes_by_id_.at(host)->AddSource(spec));
   catalog_[spec.view.name] = spec;
-  owner_[spec.view.name] = owner;
+  owner_[spec.view.name] = host;
+  stats_.moved_sources += MoveToPlacementLocked(placement);
   return OkStatus();
+}
+
+std::vector<std::string> ClusterCoordinator::CatalogViewsLocked() const {
+  std::vector<std::string> views;
+  views.reserve(catalog_.size() + 1);
+  for (const auto& [view, spec] : catalog_) views.push_back(view);
+  return views;
 }
 
 std::string ClusterCoordinator::OwnerOf(const std::string& view) const {
@@ -249,16 +266,25 @@ void ClusterCoordinator::HandleNodeFailure(const std::string& node_id,
     return;
   }
   stats_.failovers++;
-  // Reassign the dead node's sources to the ring's surviving owners.
+  // Reassign only the dead node's sources, each to its bounded-load owner
+  // among the survivors; every other view stays where it is. The cap
+  // grows with fewer members, so no survivor is over it already.
   // Deliberately NOT an administrative move: the shared tier keeps the
   // dead node's published entries — they are still correct, and serving
   // them warm from the successor is what the §3.2 layer is for.
+  std::map<std::string, int> loads;
+  for (const auto& [view, owner] : owner_) {
+    if (owner != node_id) ++loads[owner];
+  }
+  const int cap =
+      LoadCap(static_cast<int>(owner_.size()), ring_.num_nodes());
   for (auto& [view, owner] : owner_) {
     if (owner != node_id) continue;
-    const std::string new_owner = ring_.OwnerOf(view);
+    const std::string new_owner = BoundedOwner(ring_, view, loads, cap);
     Status added = nodes_by_id_.at(new_owner)->AddSource(catalog_.at(view));
     if (!added.ok()) continue;  // next scatter retries resolve again
     owner = new_owner;
+    ++loads[new_owner];
     stats_.moved_sources++;
   }
   if (auto* sink = GetGlobalMetricsSink()) {
@@ -282,14 +308,19 @@ bool ClusterCoordinator::MoveSourceLocked(const std::string& view,
   return true;
 }
 
-int ClusterCoordinator::Rebalance() {
-  std::lock_guard<std::mutex> lock(mu_);
+int ClusterCoordinator::MoveToPlacementLocked(
+    const std::map<std::string, std::string>& placement) {
   int moved = 0;
-  for (const auto& [view, spec] : catalog_) {
-    const std::string target = ring_.OwnerOf(view);
-    if (target.empty()) continue;
+  for (const auto& [view, target] : placement) {
     if (MoveSourceLocked(view, target)) ++moved;
   }
+  return moved;
+}
+
+int ClusterCoordinator::Rebalance() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int moved =
+      MoveToPlacementLocked(PlaceBounded(ring_, CatalogViewsLocked()));
   stats_.rebalances++;
   stats_.moved_sources += moved;
   return moved;

@@ -6,8 +6,12 @@
 // BatchExecutor* and cannot tell whether batches run on the single-node
 // QueryService or get scattered across N simulated DataServerNodes.
 //
-// Placement is a consistent-hash ring over node ids (placement.h): each
-// published source's view name hashes to its owning node. ExecuteBatch
+// Placement is consistent hashing with bounded loads over node ids
+// (placement.h): each published view goes to the first node clockwise
+// from its ring point that hosts fewer than ceil(views / live nodes)
+// views. After Publish and after Rebalance ownership is one pure function
+// of (members, seed, catalog); a failover moves only the dead node's
+// views. ExecuteBatch
 // groups the batch by view, scatters each group to its owner over the
 // retrying channel (rpc/channel.h), and gathers positionally. Any group
 // failure fails the whole batch with that group's *typed* error — a
@@ -60,8 +64,10 @@ class ClusterCoordinator : public dashboard::BatchExecutor {
  public:
   explicit ClusterCoordinator(ClusterOptions options = {});
 
-  // Publishes a source to the cluster: the consistent-hash owner hosts
-  // it. Idempotent per view name (re-publish re-registers).
+  // Publishes a source to the cluster and re-derives the bounded-load
+  // placement of the whole catalog: the new view goes to its owner, and
+  // any view the larger catalog re-homes moves as in Rebalance().
+  // Idempotent per view name (re-publish re-registers).
   Status Publish(const SourceSpec& spec);
 
   // Scatter/gather over the owning nodes. Results are positional; on any
@@ -86,8 +92,8 @@ class ClusterCoordinator : public dashboard::BatchExecutor {
   // Brings the node back up, re-adds it to the ring, and runs an
   // administrative rebalance so it takes back its ring share.
   void ReviveNode(const std::string& node_id);
-  // Re-derives every source's owner from the current ring and moves the
-  // diffs (old owner stops serving, moved namespaces invalidated in the
+  // Re-derives every source's bounded-load owner from the current ring
+  // and moves the diffs (old owner stops serving, moved namespaces invalidated in the
   // shared tier). Returns how many sources moved.
   int Rebalance();
 
@@ -123,7 +129,8 @@ class ClusterCoordinator : public dashboard::BatchExecutor {
                         const WireBatchOptions& wire);
 
   // Retry hook: a transport kAborted marks the node dead and fails its
-  // sources over to the ring's surviving owners (no cache invalidation —
+  // sources over to their bounded-load owners among the survivors (no
+  // cache invalidation —
   // see the header comment). Other retriable failures change nothing.
   void HandleNodeFailure(const std::string& node_id, const Status& status);
 
@@ -131,6 +138,9 @@ class ClusterCoordinator : public dashboard::BatchExecutor {
   // semantics (old owner drops it, shared namespace erased). Requires
   // mu_ held; returns whether a move happened.
   bool MoveSourceLocked(const std::string& view, const std::string& new_owner);
+  // MoveSourceLocked for every view of `placement`; returns the moves.
+  int MoveToPlacementLocked(const std::map<std::string, std::string>& placement);
+  std::vector<std::string> CatalogViewsLocked() const;
 
   ClusterOptions options_;
   std::shared_ptr<cache::DistributedCacheTier> shared_tier_;

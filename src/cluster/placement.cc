@@ -70,13 +70,54 @@ void ConsistentHashRing::Rebuild() {
 }
 
 std::string ConsistentHashRing::OwnerOf(const std::string& key) const {
+  return FirstMemberFrom(key, [](const std::string&) { return true; });
+}
+
+std::string ConsistentHashRing::FirstMemberFrom(
+    const std::string& key,
+    const std::function<bool(const std::string&)>& accept) const {
   if (ring_.empty()) return std::string();
   uint64_t h = HashString(key, options_.seed);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const Point& p, uint64_t hash) { return p.hash < hash; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return members_[static_cast<size_t>(it->member)];
+  // One lap of the ring, wrapping around past its end.
+  for (size_t step = 0; step < ring_.size(); ++step, ++it) {
+    if (it == ring_.end()) it = ring_.begin();
+    const std::string& member = members_[static_cast<size_t>(it->member)];
+    if (accept(member)) return member;
+  }
+  return std::string();
+}
+
+int LoadCap(int keys, int members) {
+  return members <= 0 ? 0 : (keys + members - 1) / members;
+}
+
+std::string BoundedOwner(const ConsistentHashRing& ring, const std::string& key,
+                         const std::map<std::string, int>& loads, int cap) {
+  std::string owner =
+      ring.FirstMemberFrom(key, [&loads, cap](const std::string& member) {
+        auto it = loads.find(member);
+        return it == loads.end() || it->second < cap;
+      });
+  return owner.empty() ? ring.OwnerOf(key) : owner;
+}
+
+std::map<std::string, std::string> PlaceBounded(
+    const ConsistentHashRing& ring, std::vector<std::string> keys) {
+  std::map<std::string, std::string> owners;
+  if (ring.num_nodes() == 0) return owners;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const int cap = LoadCap(static_cast<int>(keys.size()), ring.num_nodes());
+  std::map<std::string, int> loads;
+  for (const std::string& key : keys) {
+    std::string owner = BoundedOwner(ring, key, loads, cap);
+    ++loads[owner];
+    owners.emplace(key, std::move(owner));
+  }
+  return owners;
 }
 
 }  // namespace vizq::cluster

@@ -10,6 +10,13 @@
 //     hashing vs `hash % N`, which moves nearly everything);
 //   * virtual nodes smooth the load split across members.
 //
+// Bounded-load placement (PlaceBounded, below) sits on top of the ring:
+// consistent hashing with bounded loads (Mirrokni, Thorup, Zadimoghaddam,
+// SODA 2018). A key goes to the first member clockwise from its point
+// that holds fewer than ceil(keys / members) keys, so no member hosts
+// more than its share even when the ring's arcs are uneven — with 8 keys
+// on 4 members, plain ring ownership can put half of them on one node.
+//
 // Not thread-safe: the ClusterCoordinator owns the ring and guards it
 // with its own membership lock.
 
@@ -17,6 +24,8 @@
 #define VIZQUERY_CLUSTER_PLACEMENT_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,6 +53,12 @@ class ConsistentHashRing {
   // the ring has no members.
   std::string OwnerOf(const std::string& key) const;
 
+  // The first member clockwise from `key`'s ring point that `accept`s
+  // (OwnerOf(key) is asked first). Empty string when none does.
+  std::string FirstMemberFrom(
+      const std::string& key,
+      const std::function<bool(const std::string&)>& accept) const;
+
   // Current members, sorted by id.
   std::vector<std::string> nodes() const { return members_; }
   int num_nodes() const { return static_cast<int>(members_.size()); }
@@ -64,6 +79,21 @@ class ConsistentHashRing {
   std::vector<std::string> members_;  // sorted
   std::vector<Point> ring_;           // sorted by hash
 };
+
+// Most keys one member may hold: ceil(keys / members), 0 without members.
+int LoadCap(int keys, int members);
+
+// The first member clockwise from `key` whose `loads` entry is below
+// `cap`; the plain ring owner when every member is at the cap.
+std::string BoundedOwner(const ConsistentHashRing& ring, const std::string& key,
+                         const std::map<std::string, int>& loads, int cap);
+
+// Bounded-load owner of every key: keys are placed in sorted order with
+// cap LoadCap(keys, members), so the result is a pure function of (ring
+// members, seed, key set) whatever order `keys` comes in (duplicates
+// count once). Empty when the ring has no members.
+std::map<std::string, std::string> PlaceBounded(
+    const ConsistentHashRing& ring, std::vector<std::string> keys);
 
 }  // namespace vizq::cluster
 

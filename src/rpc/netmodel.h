@@ -3,7 +3,8 @@
 // tier (src/cache/distributed.*) and the in-process RPC transport
 // (src/rpc/transport.*) — charge the same modeled cost: a per-operation
 // round trip plus a per-KB transfer term, really slept so end-to-end
-// benches see genuine latency rather than an accounting fiction.
+// benches see genuine latency rather than an accounting fiction. A send
+// that awaits no reply (the tier's pipelined Put) is accounted, not slept.
 //
 // Extracted from DistributedCacheTier so the cache tier and the RPC
 // layer cannot drift apart on what a byte costs; the old inline model
@@ -40,6 +41,11 @@ class NetworkCostModel {
   // Returns the charged milliseconds so callers can attribute them.
   double Charge(int64_t payload_bytes);
 
+  // Accounts the modeled cost of `payload_bytes` without sleeping: a
+  // pipelined send that awaits no reply (the shared cache tier's Put).
+  // Returns the charged milliseconds.
+  double Account(int64_t payload_bytes);
+
   // Charges a half trip: the transfer term plus half the RTT. The RPC
   // transport uses this to split one logical round trip across the
   // request and response legs without double-charging the RTT.
@@ -56,6 +62,7 @@ class NetworkCostModel {
 
  private:
   double ChargeMs(double ms);
+  double AccountMs(double ms);
 
   NetworkCostOptions options_;
   std::atomic<int64_t> simulated_ns_{0};

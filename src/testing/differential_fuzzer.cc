@@ -149,6 +149,8 @@ AbstractQuery Minimize(const Dataset& ds, const LaneSetupOptions& lane_options,
   return current;
 }
 
+}  // namespace
+
 void RecordFailures(const std::vector<LaneCheck>& checks, int iteration,
                     uint64_t dataset_seed, uint64_t lane_seed,
                     const std::map<std::string, AbstractQuery>& by_key,
@@ -188,8 +190,6 @@ void RecordFailures(const std::vector<LaneCheck>& checks, int iteration,
     report->failures.push_back(std::move(f));
   }
 }
-
-}  // namespace
 
 std::string FuzzFailure::ToString() const {
   std::ostringstream os;
@@ -244,7 +244,7 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
     std::map<std::string, AbstractQuery> by_key;
     for (int i = 0; i < options.queries_per_iteration; ++i) {
       AbstractQuery q = GenerateQuery(ds, rng);
-      by_key.emplace(q.ToKeyString(), q);
+      by_key.emplace(q.Serialize(), q);
       batch.push_back(std::move(q));
     }
     report.queries_generated += static_cast<int>(batch.size());
@@ -288,8 +288,8 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
                 "union of IN-split parts differs from whole: " + diff.message +
                     " [parts: " + split->first.ToKeyString() + " | " +
                     split->second.ToKeyString() + "]",
-                base.ToKeyString()});
-            meta_keys.emplace(base.ToKeyString(), base);
+                base.Serialize()});
+            meta_keys.emplace(base.Serialize(), base);
           }
         }
       }
@@ -310,8 +310,8 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
                   "metamorphic_rollup", false,
                   "coarse result differs from roll-up of fine result: " +
                       diff.message + " [fine: " + base.ToKeyString() + "]",
-                  coarse->ToKeyString()});
-              meta_keys.emplace(coarse->ToKeyString(), *coarse);
+                  coarse->Serialize()});
+              meta_keys.emplace(coarse->Serialize(), *coarse);
             }
           }
         }

@@ -13,6 +13,8 @@
 #define VIZQUERY_TESTING_DIFFERENTIAL_FUZZER_H_
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -87,6 +89,18 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options);
 bool LaneStillFails(const Dataset& ds, const LaneSetupOptions& lane_options,
                     const query::AbstractQuery& q, const std::string& lane,
                     uint64_t lane_seed, std::string* detail);
+
+// Adds a FuzzFailure for each failed check of `checks` not reported
+// before (one per lane and query key, tracked in `seen_failures`). A
+// check's query_key is looked up in `by_key`, the window's queries keyed by
+// Serialize(); the query found is reported and, with options.minimize,
+// shrunk on a fresh lane set over `ds`. Exposed for tests.
+void RecordFailures(const std::vector<LaneCheck>& checks, int iteration,
+                    uint64_t dataset_seed, uint64_t lane_seed,
+                    const std::map<std::string, query::AbstractQuery>& by_key,
+                    const Dataset& ds, const LaneSetupOptions& lane_options,
+                    const FuzzOptions& options,
+                    std::set<std::string>* seen_failures, FuzzReport* report);
 
 }  // namespace vizq::testing
 

@@ -302,7 +302,7 @@ void ExecutionLanes::Check(const std::string& lane, const AbstractQuery& q,
                            const StatusOr<ResultTable>& result,
                            std::vector<LaneCheck>* out) {
   ++checks_run_;
-  std::string key = q.ToKeyString();
+  std::string key = q.Serialize();
   if (!result.ok()) {
     out->push_back(LaneCheck{lane, false,
                              "execution failed: " + result.status().ToString(),
@@ -353,7 +353,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       out.push_back(LaneCheck{"recorder", false,
                               "traced execution failed: " +
                                   traced.status().ToString(),
-                              q.ToKeyString()});
+                              q.Serialize()});
     } else {
       obs::RecordedRequest entry = recorder.FindById(expect_id);
       std::string problem;
@@ -380,7 +380,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
         }
       }
       out.push_back(
-          LaneCheck{"recorder", problem.empty(), problem, q.ToKeyString()});
+          LaneCheck{"recorder", problem.empty(), problem, q.Serialize()});
 
       // The request's PhaseTimeline must stay coherent with the recorded
       // root span: no negative phase, and the attributed (root-phase) sum
@@ -419,7 +419,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
         }
       }
       out.push_back(LaneCheck{"recorder_timeline", tl_problem.empty(),
-                              tl_problem, q.ToKeyString()});
+                              tl_problem, q.Serialize()});
     }
   }
 
@@ -459,7 +459,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       out.push_back(LaneCheck{"derived_hit", false,
                               "generalized store failed: " +
                                   stored.status().ToString(),
-                              q.ToKeyString()});
+                              q.Serialize()});
     } else {
       // Decoys go in first, so every lookup walks the rejection paths
       // (signature prefilter and full proof) before it reaches `g`.
@@ -474,7 +474,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
         out.push_back(LaneCheck{
             "derived_hit", false,
             "no cache hit for query generalized as " + g.ToKeyString(),
-            q.ToKeyString()});
+            q.Serialize()});
       } else {
         Check("derived_hit", q, ResultTable(*hit->table), &out);
       }
@@ -504,7 +504,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
           std::string("expected literal-cache hit on replay, served from ") +
               dashboard::ServedFromToString(
                   replay_report.queries[0].served_from),
-          q.ToKeyString()});
+          q.Serialize()});
     }
   }
 
@@ -533,7 +533,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       if (!oracle.ok()) {
         out.push_back(LaneCheck{"deadline", false,
                                 "oracle failed: " + oracle.status().ToString(),
-                                q.ToKeyString()});
+                                q.Serialize()});
       } else {
         DiffResult diff = DiffForQuery(oracle->limited, oracle->unlimited,
                                        *result, q, options_.diff);
@@ -541,9 +541,9 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
           out.push_back(LaneCheck{
               "deadline", false,
               "ok status with wrong rows under deadline: " + diff.message,
-              q.ToKeyString()});
+              q.Serialize()});
         } else {
-          out.push_back(LaneCheck{"deadline", true, "", q.ToKeyString()});
+          out.push_back(LaneCheck{"deadline", true, "", q.Serialize()});
         }
       }
     } else if (result.status().code() != StatusCode::kDeadlineExceeded &&
@@ -551,9 +551,9 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       out.push_back(LaneCheck{
           "deadline", false,
           "unexpected error under deadline: " + result.status().ToString(),
-          q.ToKeyString()});
+          q.Serialize()});
     } else {
-      out.push_back(LaneCheck{"deadline", true, "", q.ToKeyString()});
+      out.push_back(LaneCheck{"deadline", true, "", q.Serialize()});
     }
   }
 
@@ -598,7 +598,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       if (!problem.empty()) {
         ++checks_run_;
         out.push_back(
-            LaneCheck{"stale_shed", false, problem, q.ToKeyString()});
+            LaneCheck{"stale_shed", false, problem, q.Serialize()});
       } else {
         Check("stale_shed", q, StatusOr<ResultTable>((*served)[0]), &out);
       }
@@ -608,14 +608,14 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
         out.push_back(LaneCheck{"stale_shed", false,
                                 "overload failure not a typed shed: " +
                                     served.status().ToString(),
-                                q.ToKeyString()});
+                                q.Serialize()});
       } else if (warmed_exact && !expired) {
         out.push_back(LaneCheck{
             "stale_shed", false,
             "shed despite a warm in-bound exact cache answer",
-            q.ToKeyString()});
+            q.Serialize()});
       } else {
-        out.push_back(LaneCheck{"stale_shed", true, "", q.ToKeyString()});
+        out.push_back(LaneCheck{"stale_shed", true, "", q.Serialize()});
       }
     }
   }
@@ -636,7 +636,7 @@ std::vector<LaneCheck> ExecutionLanes::RunBatch(
     ++checks_run_;
     out.push_back(LaneCheck{"batch_fused", false,
                             "batch failed: " + results.status().ToString(),
-                            batch[0].ToKeyString()});
+                            batch[0].Serialize()});
   } else {
     for (size_t i = 0; i < batch.size(); ++i) {
       Check("batch_fused", batch[i], (*results)[i], &out);
@@ -651,7 +651,7 @@ std::vector<LaneCheck> ExecutionLanes::RunBatch(
     ++checks_run_;
     out.push_back(LaneCheck{"batch_unfused", false,
                             "batch failed: " + serial.status().ToString(),
-                            batch[0].ToKeyString()});
+                            batch[0].Serialize()});
   } else {
     for (size_t i = 0; i < batch.size(); ++i) {
       Check("batch_unfused", batch[i], (*serial)[i], &out);
@@ -684,12 +684,12 @@ std::vector<LaneCheck> ExecutionLanes::RunBatch(
       if (!results.ok()) {
         if (faults_possible && IsTypedClusterError(results.status().code())) {
           out.push_back(
-              LaneCheck{"cluster_batch", true, "", batch[0].ToKeyString()});
+              LaneCheck{"cluster_batch", true, "", batch[0].Serialize()});
         } else {
           out.push_back(LaneCheck{
               "cluster_batch", false,
               std::string(when) + ": " + results.status().ToString(),
-              batch[0].ToKeyString()});
+              batch[0].Serialize()});
         }
         return;
       }
@@ -698,7 +698,7 @@ std::vector<LaneCheck> ExecutionLanes::RunBatch(
                                 std::string(when) + ": partial gather (" +
                                     std::to_string(results->size()) + "/" +
                                     std::to_string(batch.size()) + ")",
-                                batch[0].ToKeyString()});
+                                batch[0].Serialize()});
         return;
       }
       // Diff against the ORIGINAL queries' oracle: the rewritten view

@@ -82,8 +82,10 @@ struct LaneSetupOptions {
   DiffOptions diff;
 };
 
-// One lane-vs-oracle verdict. `query_key` is the ToKeyString of the query
-// the check ran (lets the fuzzer attribute batch-lane failures).
+// One lane-vs-oracle verdict. `query_key` is the Serialize() bytes of the
+// query the check ran (lets the fuzzer attribute batch-lane failures). Not
+// ToKeyString(): that key sorts columns, so two queries that differ only
+// in column order would share it.
 struct LaneCheck {
   std::string lane;
   bool ok = true;

@@ -506,6 +506,99 @@ TEST(DistributedTest, SecondNodeStaysWarm) {
   EXPECT_GE(tier->hits(), 1);
 }
 
+// Put is a pipelined write: it returns without waiting for its modeled
+// cost, charges that cost anyway, and stays invisible until it passes. The
+// per-KB term makes the write cost ~17 minutes while a Get miss costs 1 ms.
+TEST(DistributedTest, PutReturnsAtOnceAndStaysInvisibleUntilItsCostPasses) {
+  DistributedCacheTier::Options options;
+  options.net.rtt_ms = 1.0;
+  options.net.per_kb_ms = 1e6;
+  DistributedCacheTier tier(options);
+  const std::string value(1024, 'x');
+  const double cost_ms = rpc::NetworkCostModel(options.net).CostMs(1024);
+
+  const auto start = std::chrono::steady_clock::now();
+  tier.Put("v\x1fq", value);
+  const double put_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_LT(put_ms, cost_ms / 10);
+  EXPECT_GE(tier.simulated_ms(), cost_ms * 0.999);
+  EXPECT_FALSE(tier.Get("v\x1fq").has_value());
+  EXPECT_EQ(tier.puts(), 1);
+  EXPECT_EQ(tier.gets(), 1);
+  EXPECT_EQ(tier.hits(), 0);
+}
+
+TEST(DistributedTest, PutLandsOnceItsCostHasPassed) {
+  DistributedCacheTier::Options options;
+  options.net.rtt_ms = 1.0;
+  DistributedCacheTier tier(options);
+  tier.Put("v\x1fq", "payload");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::optional<std::string> got;
+  while (!got.has_value() && std::chrono::steady_clock::now() < give_up) {
+    got = tier.Get("v\x1fq");
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, "payload");
+  EXPECT_EQ(tier.hits(), 1);
+}
+
+// An erased namespace takes its not-yet-landed writes with it: nothing
+// appears once their modeled cost has passed.
+TEST(DistributedTest, EraseNamespaceDropsAPendingPutForGood) {
+  DistributedCacheTier::Options options;
+  options.net.rtt_ms = 20.0;
+  DistributedCacheTier tier(options);
+  tier.Put(SharedKeyPrefix("v") + "q", "payload");
+  tier.Put(SharedKeyPrefix("w") + "q", "other");
+  EXPECT_EQ(tier.EraseNamespace(SharedKeyPrefix("v")), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_FALSE(tier.Get(SharedKeyPrefix("v") + "q").has_value());
+  EXPECT_TRUE(tier.Get(SharedKeyPrefix("w") + "q").has_value());
+  EXPECT_EQ(tier.bytes(), DistributedCacheTier::EntryBytes(
+                              SharedKeyPrefix("w") + "q", "other"));
+}
+
+// The tier never holds more than max_bytes of keys, values and per-entry
+// overhead, and evicts the oldest-inserted entry first (not the
+// lexicographically first key, which would always drain one namespace).
+TEST(DistributedTest, MemoryBoundEvictsInInsertionOrder) {
+  const std::string value(100, 'v');
+  DistributedCacheTier::Options options;
+  options.net.simulate_latency = false;
+  options.max_bytes = 3 * DistributedCacheTier::EntryBytes("k", value);
+  DistributedCacheTier tier(options);
+  for (const char* key : {"c", "a", "d", "b"}) {
+    tier.Put(key, value);
+    EXPECT_LE(tier.bytes(), options.max_bytes);
+  }
+  EXPECT_FALSE(tier.Get("c").has_value());
+  EXPECT_TRUE(tier.Get("a").has_value());
+  // Re-putting a key re-inserts it: "d" is now the oldest.
+  tier.Put("a", value);
+  tier.Put("e", value);
+  EXPECT_FALSE(tier.Get("d").has_value());
+  for (const char* key : {"b", "a", "e"}) {
+    EXPECT_TRUE(tier.Get(key).has_value()) << key;
+  }
+  // An entry that cannot fit is not kept and evicts nothing.
+  tier.Put("huge", std::string(static_cast<size_t>(options.max_bytes), 'h'));
+  EXPECT_FALSE(tier.Get("huge").has_value());
+  EXPECT_EQ(tier.bytes(), options.max_bytes);
+
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    tier.Put("k" + std::to_string(rng.Below(20)),
+             std::string(static_cast<size_t>(rng.Below(250)), 'x'));
+    ASSERT_LE(tier.bytes(), options.max_bytes) << "put " << i;
+  }
+  tier.Clear();
+  EXPECT_EQ(tier.bytes(), 0);
+}
+
 // --- Null-semantics differential tests (engine vs cache-derived) ---
 // The TDE engine skips NULLs in COUNTD and rejects NULL rows in IN-set
 // filters; cache post-processing must agree or derived hits silently

@@ -1,5 +1,5 @@
 // Tests of the sharded Data Server: consistent-hash placement properties
-// (determinism, minimal movement), the RPC wire codecs, scatter/gather
+// (determinism, minimal movement, bounded loads), the RPC wire codecs, scatter/gather
 // correctness against a single-node oracle, failover and administrative
 // rebalance semantics (no stale owner serving), node-scoped temp-table
 // definitions, and concurrent kill/revive vs scatter (TSan suite).
@@ -15,6 +15,7 @@
 #include "src/cluster/coordinator.h"
 #include "src/cluster/node.h"
 #include "src/cluster/placement.h"
+#include "src/common/rng.h"
 #include "src/common/scheduler.h"
 #include "src/federation/data_source.h"
 #include "src/rpc/channel.h"
@@ -107,6 +108,41 @@ TEST(PlacementTest, SpreadsLoadAcrossMembers) {
   EXPECT_EQ(load.size(), 8u);  // every member owns something
   for (const auto& [node, count] : load) {
     EXPECT_GT(count, 1000 / 8 / 4) << node;  // no member starves
+  }
+}
+
+// Bounded loads: whatever the ring's arcs, no member holds more than
+// ceil(keys / members), and the placement depends on the key set, not on
+// the order the keys arrive in.
+TEST(PlacementTest, BoundedLoadsCapEveryMember) {
+  Rng rng(17);
+  for (int members = 1; members <= 8; ++members) {
+    ConsistentHashRing ring;
+    for (int i = 0; i < members; ++i) ring.AddNode("n" + std::to_string(i));
+    for (int k = 1; k <= 64; ++k) {
+      std::vector<std::string> keys = Keys(k);
+      const auto placed = PlaceBounded(ring, keys);
+      ASSERT_EQ(placed.size(), keys.size());
+      const int cap = LoadCap(k, members);
+      EXPECT_EQ(cap, (k + members - 1) / members);
+      std::map<std::string, int> load;
+      for (const auto& [key, owner] : placed) {
+        EXPECT_TRUE(ring.HasNode(owner)) << key;
+        ++load[owner];
+      }
+      for (const auto& [owner, count] : load) {
+        EXPECT_LE(count, cap) << owner << " keys=" << k
+                              << " members=" << members;
+      }
+      // Any insertion order (and a repeated key) gives the same placement.
+      std::vector<std::string> shuffled = keys;
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+      }
+      shuffled.push_back(keys[0]);
+      EXPECT_EQ(PlaceBounded(ring, shuffled), placed)
+          << "keys=" << k << " members=" << members;
+    }
   }
 }
 
@@ -229,6 +265,38 @@ TEST(ClusterTest, ScatterGatherMatchesSingleNode) {
   EXPECT_EQ(report.queries.size(), batch.size());
   EXPECT_GE(env.cluster->stats().scattered_groups,
             static_cast<int64_t>(env.views.size()));
+}
+
+// 8 views on 4 nodes: every node hosts exactly its share of 2. A node
+// death moves only that node's views, and no survivor goes above the
+// 3-node cap.
+TEST(ClusterTest, PublishSpreadsViewsWithinTheCap) {
+  ClusterEnv env(4, /*num_sources=*/8);
+  const std::vector<std::string> nodes = {"n0", "n1", "n2", "n3"};
+  for (const auto& node_id : nodes) {
+    EXPECT_EQ(env.cluster->node(node_id)->HostedViews().size(), 2u)
+        << node_id;
+  }
+  std::map<std::string, std::string> before;
+  for (const auto& view : env.views) before[view] = env.cluster->OwnerOf(view);
+
+  const std::string victim = before[env.views[0]];
+  env.cluster->KillNode(victim);
+  ASSERT_TRUE(env.cluster->ExecuteBatch(env.WideBatch()).ok());
+  ASSERT_GE(env.cluster->stats().failovers, 1);
+  for (const auto& view : env.views) {
+    const std::string owner = env.cluster->OwnerOf(view);
+    if (before[view] == victim) {
+      EXPECT_NE(owner, victim) << view;
+    } else {
+      EXPECT_EQ(owner, before[view]) << view << " moved off a live node";
+    }
+  }
+  for (const auto& node_id : nodes) {
+    if (node_id == victim) continue;
+    EXPECT_LE(env.cluster->node(node_id)->HostedViews().size(), 3u)
+        << node_id;
+  }
 }
 
 TEST(ClusterTest, UnknownViewIsVerbatimNotFound) {

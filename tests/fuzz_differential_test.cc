@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/testing/dataset_gen.h"
 #include "src/testing/differential_fuzzer.h"
@@ -50,6 +56,53 @@ TEST(DifferentialFuzz, SameKeyOtherColumnOrderAgrees) {
   FuzzReport report = RunDifferentialFuzz(options);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.iterations_run, 192);
+}
+
+// Two queries of one window share a ToKeyString() but order their
+// measures differently. A failure of the second must report (and
+// minimize) the second, not the first query under the same key.
+TEST(DifferentialFuzz, FailureReportsTheQueryThatFailedNotItsKeyTwin) {
+  uint64_t dataset_seed = 1;
+  Dataset ds = GenerateDataset(dataset_seed);
+  while (ds.rows == 0) ds = GenerateDataset(++dataset_seed);
+  query::AbstractQuery first;
+  first.data_source = kFuzzDataSource;
+  first.view = ds.table;
+  first.dimensions = {"d2"};
+  first.measures = {query::Measure{AggFunc::kCountStar, "", ""},
+                    query::Measure{AggFunc::kMax, "day", ""}};
+  first.Canonicalize();
+  query::AbstractQuery second = first;
+  std::swap(second.measures[0], second.measures[1]);
+  second.Canonicalize();
+  ASSERT_EQ(first.ToKeyString(), second.ToKeyString());
+  ASSERT_NE(first.Serialize(), second.Serialize());
+
+  LaneSetupOptions lane_options;
+  lane_options.inject_offby_one = true;
+  const uint64_t lane_seed = 7;
+  std::vector<LaneCheck> checks =
+      ExecutionLanes(ds, lane_options).RunQuery(second, lane_seed);
+  std::map<std::string, query::AbstractQuery> by_key;
+  by_key.emplace(first.Serialize(), first);
+  by_key.emplace(second.Serialize(), second);
+
+  FuzzOptions options;
+  options.inject_offby_one = true;
+  std::set<std::string> seen;
+  FuzzReport report;
+  RecordFailures(checks, /*iteration=*/0, dataset_seed, lane_seed, by_key, ds,
+                 lane_options, options, &seen, &report);
+  const FuzzFailure* injected = nullptr;
+  for (const FuzzFailure& f : report.failures) {
+    if (f.lane == "injected_offby_one") injected = &f;
+  }
+  ASSERT_NE(injected, nullptr) << report.Summary();
+  EXPECT_EQ(injected->query.Serialize(), second.Serialize());
+  EXPECT_EQ(injected->detail.find("not reproducible"), std::string::npos)
+      << injected->detail;
+  EXPECT_TRUE(LaneStillFails(ds, lane_options, injected->minimized,
+                             injected->lane, lane_seed, nullptr));
 }
 
 // Morsel-lane sweep: engine-only iterations (federated/deadline lanes
